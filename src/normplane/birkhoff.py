@@ -3,9 +3,10 @@
 A vector x is Birkhoff orthogonal to y when norm(x + lam*y) >= norm(x)
 for every real lam, i.e. the line through x with direction y stays
 outside the open ball of radius norm(x).  The relation is not symmetric
-in general.  Each pointwise test reduces to a one-dimensional convex
-minimization along the line; cones of orthogonal directions come from
-scanning a half circle of directions and bisecting the pass boundary.
+in general.  Each pointwise test is a norm distance from x to the line
+spanned by y, which the support function of the unit ball gives in
+closed form; cones of orthogonal directions come from scanning a half
+circle of directions and bisecting the pass boundary.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import TWO_PI
 from .errors import PreconditionError
 from .norms import rot90
 
@@ -26,66 +28,42 @@ __all__ = [
     "perp_point",
 ]
 
-TWO_PI = 2.0 * math.pi
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+def _line_distance(norm, x, dirs):
+    """min over lam of norm(x + lam*d) for each row d of dirs, in closed form.
 
-def _line_minimum(norm, xs, dirs, iters=80):
-    """Lockstep golden-section minimum of norm(x + lam*d) per lane.
-
-    xs broadcasts against dirs, one lane per direction.  The bracket
-    |lam| <= 2 norm(x) / norm(d) is exact: both endpoints have value at
-    least norm(x) by the triangle inequality while lam = 0 attains it,
-    so a convex minimizer lies inside.  Returns (values, lams).
+    With n = rot90(d) normal to the line R*d, the norm distance from x
+    to that line is |n.x| / h(n), h the support function of the unit
+    ball (the dual norm).
     """
-    dirs = np.atleast_2d(np.asarray(dirs, dtype=float))
-    xs = np.broadcast_to(np.asarray(xs, dtype=float), dirs.shape)
-    nx = np.asarray(norm.value(xs), dtype=float)
-    nd = np.asarray(norm.value(dirs), dtype=float)
-    hi = 2.0 * nx / nd
-    lo = -hi
-    c = hi - _GOLDEN * (hi - lo)
-    d = lo + _GOLDEN * (hi - lo)
-    fc = np.asarray(norm.value(xs + c[:, None] * dirs), dtype=float)
-    fd = np.asarray(norm.value(xs + d[:, None] * dirs), dtype=float)
-    for _ in range(iters):
-        take = fc < fd
-        hi = np.where(take, d, hi)
-        lo = np.where(take, lo, c)
-        c_old, fc_old, fd_old = c, fc, fd
-        c = np.where(take, hi - _GOLDEN * (hi - lo), d)
-        d = np.where(take, c_old, lo + _GOLDEN * (hi - lo))
-        fresh = np.where(take, c, d)
-        fe = np.asarray(norm.value(xs + fresh[:, None] * dirs), dtype=float)
-        fc = np.where(take, fe, fd_old)
-        fd = np.where(take, fc_old, fe)
-    vals = np.minimum(fc, fd)
-    lams = np.where(fc <= fd, c, d)
-    return vals, lams
+    n = rot90(dirs)
+    h, _ = norm.support(n)
+    return np.abs(n @ x) / h
+
+
+def _nonzero_pair(norm, x, y, who):
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    nx = float(norm.value(x))
+    if nx == 0.0 or float(norm.value(y)) == 0.0:
+        raise PreconditionError("%s requires nonzero vectors" % who)
+    return x, y, nx
 
 
 def birkhoff_margin(norm, x, y):
     """min over lam of norm(x + lam*y), minus norm(x).
 
-    Always <= 0; equal to 0 (up to solver precision) exactly when x is
-    Birkhoff orthogonal to y.
+    Always <= 0 up to rounding; equal to 0 exactly when x is Birkhoff
+    orthogonal to y.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    vals, _ = _line_minimum(norm, x, y[None, :])
-    return float(vals[0]) - float(norm.value(x))
+    x, y, nx = _nonzero_pair(norm, x, y, "birkhoff_margin")
+    return float(_line_distance(norm, x, y[None, :])[0]) - nx
 
 
 def is_birkhoff_orth(norm, x, y, tol=1e-9):
     """Whether x is Birkhoff orthogonal to y, tol relative to norm(x)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = float(norm.value(x))
-    ny = float(norm.value(y))
-    if nx == 0.0 or ny == 0.0:
-        raise PreconditionError("is_birkhoff_orth requires nonzero vectors")
-    vals, _ = _line_minimum(norm, x, y[None, :])
-    return bool(vals[0] >= nx * (1.0 - tol))
+    x, y, nx = _nonzero_pair(norm, x, y, "is_birkhoff_orth")
+    return bool(_line_distance(norm, x, y[None, :])[0] >= nx * (1.0 - tol))
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,10 +95,8 @@ class OrthCone:
         return float(sum(hi - lo for lo, hi in self.directions))
 
 
-def _margins(norm, x, thetas, iters=80):
-    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-    vals, _ = _line_minimum(norm, x, dirs, iters=iters)
-    return vals
+def _margins(norm, x, thetas):
+    return _line_distance(norm, x, np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
 
 
 def orth_cone(norm, x, angular_resolution=720, tol=1e-9):
@@ -198,12 +174,10 @@ def _refine_peak(norm, x, thetas, vals, nx):
     i = int(np.argmax(vals))
     h = math.pi / len(thetas)
     lo, hi = thetas[i] - h, thetas[i] + h
-    # peak position is value-noise limited near a smooth maximum, so
-    # mid-precision margins are enough for the ternary comparisons
     for _ in range(32):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        v1, v2 = _margins(norm, x, np.array([m1, m2]), iters=48)
+        v1, v2 = _margins(norm, x, np.array([m1, m2]))
         if v1 < v2:
             lo = m1
         else:
@@ -213,40 +187,6 @@ def _refine_peak(norm, x, thetas, vals, nx):
         raise RuntimeError("margin peak refinement failed to reach orthogonality")
     peak = peak % math.pi
     return peak, peak
-
-
-def _polish_support_angle(norm, u, phi):
-    """Sharpen a support angle when the support function peaks smoothly.
-
-    Around a smooth peak the ternary search stalls at the value-noise
-    floor, which for flat spheres can be coarse in angle.  Locating the
-    center where f(psi + d) = f(psi - d) instead is exact for symmetric
-    peaks and O(d^2) biased otherwise; Richardson over shrinking d kills
-    the bias.  Corner peaks would gain an O(d) bias from this, so they
-    are detected by their linear value drop and left to the ternary
-    result.
-    """
-
-    def f(psi):
-        return float(norm.unit_point(psi) @ u)
-
-    drop1 = f(phi) - 0.5 * (f(phi - 1e-2) + f(phi + 1e-2))
-    drop2 = f(phi) - 0.5 * (f(phi - 5e-3) + f(phi + 5e-3))
-    if drop2 <= 0 or drop1 / drop2 < 3.0:
-        return phi  # linear drop: corner support point, ternary already exact
-    centers = []
-    for d in (2e-2, 1e-2):
-        lo, hi = phi - d, phi + d
-        if not (f(lo + d) > f(lo - d) and f(hi + d) < f(hi - d)):
-            return phi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if f(mid + d) >= f(mid - d):
-                lo = mid
-            else:
-                hi = mid
-        centers.append(0.5 * (lo + hi))
-    return centers[1] + (centers[1] - centers[0]) / 3.0
 
 
 def perp_point(norm, x):
@@ -263,11 +203,7 @@ def perp_point(norm, x):
     x = np.asarray(x, dtype=float)
     if abs(float(norm.value(x)) - 1.0) > 1e-6:
         raise PreconditionError("perp_point requires x on the unit sphere")
-    from .curves import _support_angle
-
-    u = rot90(x)
-    phi = _polish_support_angle(norm, u, _support_angle(norm, u))
-    z = norm.unit_point(phi)
+    _, z = norm.support(rot90(x))
     if abs(z[1]) <= 1e-9:
         return z if z[0] < 0 else -z
     return z if z[1] < 0 else -z

@@ -176,7 +176,10 @@ def _nd_oracle_report(param, args):
     return {"counts": counts, "entries": entries}, 0
 
 
-def _nd_metric_report(param, args):
+def _nd_metric_report(norm, param, args):
+    if norm is None:
+        # the 2 - delta*eps chord threshold assumes a unit sphere of diameter 2
+        raise InputError("metric mode needs a norm spec, not a sampled curve")
     eps = args.eps_grid if args.eps_grid is not None else EPS_GRID
     delta = args.delta_grid if args.delta_grid is not None else DELTA_GRID
     if args.resolution is None:
@@ -348,7 +351,7 @@ def cmd_nd(args):
             args.resolution = 360
         body, code = _nd_oracle_report(param, args)
     elif args.mode == "metric":
-        body, code = _nd_metric_report(param, args)
+        body, code = _nd_metric_report(norm, param, args)
     else:
         body, code = _nd_far_report(norm, param, args)
     body.update({"command": "nd", "mode": args.mode, "seed": args.seed, "spec": args.spec})

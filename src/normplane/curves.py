@@ -486,6 +486,13 @@ def side_derivative(param, t, side):
     raise ValueError("side must be 'left' or 'right'")
 
 
+def _as_param(obj):
+    """The natural parameterization of a norm's sphere or a curve, or obj itself."""
+    if isinstance(obj, NaturalParam):
+        return obj
+    return build_natural_param(obj)
+
+
 _DIRS = {"E": np.array([1.0, 0.0]), "N": np.array([0.0, 1.0]),
          "W": np.array([-1.0, 0.0]), "S": np.array([0.0, -1.0])}
 
@@ -516,27 +523,11 @@ def extreme_points(curve):
                 order = np.argsort(perp)  # anticlockwise traversal ascends the perp coordinate
                 out[name] = ExtremeSet(sel[[order[0], order[-1]]], True)
         return out
-    norm = curve.norm
-    for name, d in _DIRS.items():
-        phi = _support_angle(norm, d)
-        out[name] = ExtremeSet(norm.unit_point(phi)[None, :], False)
+    # spheres that are not polygons are strictly convex here: one support point each
+    _, pts = curve.norm.support(np.stack(list(_DIRS.values())))
+    for name, p in zip(_DIRS, pts):
+        out[name] = ExtremeSet(p[None, :], False)
     return out
-
-
-def _support_angle(norm, d):
-    phis = np.linspace(-math.pi, math.pi, 512, endpoint=False)
-    vals = norm.unit_point(phis) @ d
-    i = int(np.argmax(vals))
-    lo = phis[i] - TWO_PI / 512
-    hi = phis[i] + TWO_PI / 512
-    for _ in range(120):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        if float(norm.unit_point(m1) @ d) < float(norm.unit_point(m2) @ d):
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
 
 
 def line_crossings(curve, axis, val):
@@ -588,10 +579,9 @@ def _polygon_crossings(verts, axis, val):
 def _sphere_crossings(norm, axis, val):
     d = np.zeros(2)
     d[axis] = 1.0
-    phi_hi = _support_angle(norm, d)
-    phi_lo = _support_angle(norm, -d)
-    p_hi = norm.unit_point(phi_hi)
-    p_lo = norm.unit_point(phi_lo)
+    _, (p_hi, p_lo) = norm.support(np.stack([d, -d]))
+    phi_hi = math.atan2(p_hi[1], p_hi[0])
+    phi_lo = math.atan2(p_lo[1], p_lo[0])
     tol = 1e-11 * max(1.0, abs(p_hi[axis]), abs(p_lo[axis]))
     if val > p_hi[axis] + tol or val < p_lo[axis] - tol:
         return []

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ConvexCurve, NaturalParam, build_natural_param, unit_sphere
+from .curves import _as_param
 from .errors import PreconditionError
 
 __all__ = [
@@ -52,14 +52,6 @@ DELTA_GRID = tuple(float(d) for d in np.geomspace(0.05, 1.0, 7))
 # of the arc they cover, so grid chords miss true ones by at most 2*(r/100)
 _SAMPLER_STEPS = np.arange(-105, 106)
 _NOISE_FACTOR = 2.0 / 100.0
-
-
-def _as_param(obj):
-    if isinstance(obj, NaturalParam):
-        return obj
-    if isinstance(obj, ConvexCurve):
-        return build_natural_param(obj)
-    return build_natural_param(unit_sphere(obj))
 
 
 def nd_oracle(obj, t, threshold=1e-3):

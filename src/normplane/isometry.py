@@ -23,28 +23,18 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .curves import (
+    _DIRS,
     ConvexCurve,
     NaturalParam,
-    build_natural_param,
+    _as_param,
     extreme_points,
     line_crossings,
     unit_sphere,
-    _support_angle,
 )
 from .errors import PreconditionError, SpecError
-from .norms import cross2
+from .norms import Pushforward, cross2
 
-TWO_PI = 2.0 * math.pi
-
-_DIRS = {"E": np.array([1.0, 0.0]), "N": np.array([0.0, 1.0]),
-         "W": np.array([-1.0, 0.0]), "S": np.array([0.0, -1.0])}
 _ADJACENT = {"E": ("N", "S"), "N": ("W", "E"), "W": ("S", "N"), "S": ("E", "W")}
-
-
-def _as_param(obj):
-    if isinstance(obj, NaturalParam):
-        return obj
-    return build_natural_param(obj)
 
 
 def _as_curve(obj):
@@ -388,53 +378,6 @@ def equilateral_triples(norm, target_distance, margin, fine_spacing=1e-4,
                              float(margin), h, float(fine_spacing), None)
 
 
-# -- axis-aligned crossings with cached support angles -------------------
-
-
-class _Crossings:
-    """line_crossings with the four support angles cached per curve."""
-
-    def __init__(self, curve):
-        self.curve = curve
-        self._phis = {}
-        if not curve.is_polygonal:
-            for axis in (0, 1):
-                d = np.zeros(2)
-                d[axis] = 1.0
-                self._phis[axis] = (_support_angle(curve.norm, -d),
-                                    _support_angle(curve.norm, d))
-
-    def __call__(self, axis, val):
-        if self.curve.is_polygonal:
-            return line_crossings(self.curve, axis, val)
-        norm = self.curve.norm
-        phi_lo, phi_hi = self._phis[axis]
-        p_lo = norm.unit_point(phi_lo)
-        p_hi = norm.unit_point(phi_hi)
-        tol = 1e-11 * max(1.0, abs(p_hi[axis]), abs(p_lo[axis]))
-        if val > p_hi[axis] + tol or val < p_lo[axis] - tol:
-            return []
-        if abs(val - p_hi[axis]) <= tol:
-            return [(p_hi, p_hi.copy(), False)]
-        if abs(val - p_lo[axis]) <= tol:
-            return [(p_lo, p_lo.copy(), False)]
-
-        def cross_on(a, b):
-            span = (b - a) % TWO_PI
-
-            def f(phi):
-                return float(norm.unit_point(phi)[axis]) - val
-
-            root = brentq(f, a, a + span, xtol=1e-14)
-            return norm.unit_point(root)
-
-        c1 = cross_on(phi_lo, phi_hi)
-        c2 = cross_on(phi_hi, phi_lo + TWO_PI)
-        comps = [(c1, c1.copy(), False), (c2, c2.copy(), False)]
-        comps.sort(key=lambda c: c[0][1 - axis])
-        return comps
-
-
 # -- chord triples -------------------------------------------------------
 
 
@@ -471,8 +414,6 @@ def require_distinct_extremes(curve):
 
 def _reflected_curve(curve):
     # mirror through the vertical axis, keeping anticlockwise orientation
-    from .curves import ConvexCurve, sampled_curve
-    from .norms import Pushforward
     M = np.array([[-1.0, 0.0], [0.0, 1.0]])
     if curve.kind == "sphere":
         return unit_sphere(Pushforward(curve.norm, M))
@@ -536,7 +477,6 @@ def chord_triple(curve, x):
 
     # x points into the open first quadrant: walk the lower-right arc
     param = _as_param(curve)
-    crossings = _Crossings(curve)
     w0 = _arc_endpoint(ext["S"], "first")   # undermost, leftmost on a flat bottom
     w1 = _arc_endpoint(ext["E"], "second")  # rightmost, top of a flat side
     t0 = param.locate(w0)
@@ -545,8 +485,8 @@ def chord_triple(curve, x):
 
     def box(s):
         w = param.point_at(t0 + s * span)
-        vert = crossings(0, float(w[0]))
-        horz = crossings(1, float(w[1]))
+        vert = line_crossings(curve, 0, float(w[0]))
+        horz = line_crossings(curve, 1, float(w[1]))
         u = vert[-1][1]   # uppermost point over w
         v = horz[0][0]    # leftmost point beside w
         return u, v, w
@@ -635,7 +575,6 @@ def zigzag(curve, c, a, max_iter=10000, tol=1e-6):
         raise PreconditionError("c must be extreme in two directions")
     if _on_curve_residual(param, a) > 1e-6 or _on_curve_residual(param, c) > 1e-6:
         raise PreconditionError("c and a must lie on the curve")
-    crossings = _Crossings(curve)
     ambient = curve.ambient
 
     pts = [a.copy()]
@@ -648,7 +587,7 @@ def zigzag(curve, c, a, max_iter=10000, tol=1e-6):
     for n in range(int(max_iter)):
         best, best_d, best_vert = None, math.inf, False
         for axis in (0, 1):
-            for comp in crossings(axis, float(cur[axis])):
+            for comp in line_crossings(curve, axis, float(cur[axis])):
                 for q in _segment_candidates(comp, c):
                     d = float(ambient.value(q - c))
                     vert = axis == 0
@@ -687,12 +626,11 @@ def staircase(curve, a, n_min, n_max):
     param = _as_param(curve)
     if _on_curve_residual(param, a) > 1e-6:
         raise PreconditionError("a must lie on the curve")
-    crossings = _Crossings(param.curve)
     out = {0: a.copy()}
 
     def partner(p, axis):
         cands = []
-        for lo, hi, is_seg in crossings(axis, float(p[axis])):
+        for lo, hi, is_seg in line_crossings(param.curve, axis, float(p[axis])):
             for q in (lo, hi):
                 if float(np.abs(q - p).max()) > 1e-9 and not any(
                         float(np.abs(q - r).max()) <= 1e-12 for r in cands):

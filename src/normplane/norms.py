@@ -1,15 +1,16 @@
 """Norm families on the plane and their unit sphere geometry.
 
 Every norm here knows how to evaluate itself on batches of vectors, how
-to report whether it is strictly convex, and how to describe the corner
-structure of its unit sphere exactly.  Corner tangents are stored as
-ambient-unit vectors, meaning unit in the norm itself rather than in the
-Euclidean sense, because downstream derivative checks compare against
-them directly.
+to report whether it is strictly convex, how to describe the corner
+structure of its unit sphere exactly, and its support function in
+closed form.  Corner tangents are stored as ambient-unit vectors,
+meaning unit in the norm itself rather than in the Euclidean sense,
+because downstream derivative checks compare against them directly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -53,6 +54,34 @@ def _as_batch(v):
     if arr.ndim == 1:
         return arr[None, :], True
     return arr, False
+
+
+def _computed_once(structure):
+    """Cache a norm's sphere structure on the instance, its arrays read-only.
+
+    Norms are immutable, so the structure is too; callers that need to
+    change an array must copy it.
+    """
+
+    @functools.wraps(structure)
+    def cached(self):
+        s = self.__dict__.get("_structure")
+        if s is None:
+            s = structure(self)
+            for arr in (s.corners, s.corner_in, s.corner_out, s.vertices):
+                if arr is not None:
+                    arr.flags.writeable = False
+            self._structure = s
+        return s
+
+    return cached
+
+
+def _vertex_support(vertices, u):
+    """Support function of a polygon: the best vertex for each row of u."""
+    dots = u @ vertices.T
+    k = np.argmax(dots, axis=-1)
+    return dots[np.arange(len(u)), k], vertices[k]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +129,20 @@ class Norm:
     def to_spec(self):
         raise NotImplementedError
 
+    def support(self, u):
+        """Support function h(u) = max over the unit ball of u.z, with a maximiser z.
+
+        u is one nonzero direction or a batch of them.  h is the dual norm
+        of u and z is a point of the unit sphere where the supporting line
+        with normal u touches it.  Every family has a closed form.
+        """
+        arr, single = _as_batch(u)
+        h, z = self._support(arr)
+        return (float(h[0]), z[0]) if single else (h, z)
+
+    def _support(self, u):
+        raise NotImplementedError
+
     def unit_point(self, theta):
         """Point of the unit sphere in direction theta (radians)."""
         theta = np.asarray(theta, dtype=float)
@@ -137,15 +180,16 @@ class PNorm(Norm):
     def value(self, v):
         arr, single = _as_batch(v)
         a = np.abs(arr)
+        # column arithmetic: numpy reduces slowly along a length-2 last axis
         if self.p == math.inf:
-            out = a.max(axis=-1)
+            out = np.maximum(a[..., 0], a[..., 1])
         elif self.p == 1.0:
-            out = a.sum(axis=-1)
+            out = a[..., 0] + a[..., 1]
         elif self.p == 2.0:
             out = np.hypot(a[..., 0], a[..., 1])
         else:
             # factor out the max so large p cannot overflow
-            m = a.max(axis=-1)
+            m = np.maximum(a[..., 0], a[..., 1])
             with np.errstate(invalid="ignore", divide="ignore"):
                 r = np.where(m[..., None] > 0, a / np.maximum(m, 1e-300)[..., None], 0.0)
                 out = m * (r[..., 0] ** self.p + r[..., 1] ** self.p) ** (1.0 / self.p)
@@ -155,6 +199,7 @@ class PNorm(Norm):
     def is_strictly_convex(self):
         return self.p != 1.0 and self.p != math.inf
 
+    @_computed_once
     def structure(self):
         if self.p == 1.0:
             verts = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
@@ -164,6 +209,18 @@ class PNorm(Norm):
             return self._polygon_structure(_angle_sorted(verts))
         empty = np.zeros((0, 2))
         return SphereStructure("smooth", empty, empty.copy(), empty.copy())
+
+    def _support(self, u):
+        if self.p == 1.0 or self.p == math.inf:
+            return _vertex_support(self.structure().vertices, u)
+        # dual q-norm; the maximiser is sign(u)|u|^(q-1) scaled to the sphere,
+        # with the max factored out as in value()
+        q = self.p / (self.p - 1.0)
+        a = np.abs(u)
+        m = np.maximum(a[:, 0], a[:, 1])
+        r = a / m[:, None]
+        rq = (r[:, 0] ** q + r[:, 1] ** q) ** (1.0 / q)
+        return m * rq, np.sign(u) * (r / rq[:, None]) ** (q - 1.0)
 
     def to_spec(self):
         return {"family": "p", "p": "inf" if self.p == math.inf else self.p}
@@ -223,8 +280,12 @@ class PolygonGauge(Norm):
     def is_strictly_convex(self):
         return False
 
+    @_computed_once
     def structure(self):
         return self._polygon_structure(self._w)
+
+    def _support(self, u):
+        return _vertex_support(self._w, u)
 
     def to_spec(self):
         return {"family": "polygon", "vertices": [[float(a), float(b)] for a, b in self._w]}
@@ -258,6 +319,9 @@ class Hexagonal(Norm):
 
     def structure(self):
         return self._poly.structure()
+
+    def _support(self, u):
+        return self._poly._support(u)
 
     def to_spec(self):
         return {"family": "hexagonal"}
@@ -298,15 +362,17 @@ class DiskIntersection(Norm):
     def value(self, v):
         arr, single = _as_batch(v)
         b = arr @ self.centers.T
-        vv = (arr ** 2).sum(axis=-1)[..., None]
+        vv = (arr[..., 0] ** 2 + arr[..., 1] ** 2)[..., None]
         lam = (-b + np.sqrt(b * b + self._a[None, :] * vv)) / self._a[None, :]
-        out = lam.max(axis=-1)
+        # max over the few disks one disk at a time, faster than along the last axis
+        out = functools.reduce(np.maximum, np.moveaxis(lam, -1, 0))
         return float(out[0]) if single else out
 
     @property
     def is_strictly_convex(self):
         return True
 
+    @_computed_once
     def structure(self):
         pts = []
         r = self.radius
@@ -352,6 +418,21 @@ class DiskIntersection(Norm):
             return SphereStructure("smooth", empty, empty.copy(), empty.copy())
         return SphereStructure("piecewise_arc", corners, tin, tout)
 
+    def _support(self, u):
+        # the support point is a corner or the support point of the disk
+        # whose arc it lies on; only candidates inside the ball count
+        n = len(u)
+        unit = u / np.hypot(u[:, 0], u[:, 1])[:, None]
+        cand = self.centers[None, :, :] + self.radius * unit[:, None, :]
+        inside = self.value(cand.reshape(-1, 2)).reshape(n, -1) <= 1.0 + 1e-12
+        dots = np.where(inside, np.einsum("nkj,nj->nk", cand, u), -np.inf)
+        corners = self.structure().corners
+        cand = np.concatenate([cand, np.broadcast_to(corners, (n,) + corners.shape)], axis=1)
+        dots = np.concatenate([dots, u @ corners.T], axis=1)
+        k = np.argmax(dots, axis=1)
+        rows = np.arange(n)
+        return dots[rows, k], cand[rows, k]
+
     def to_spec(self):
         return {
             "family": "disk_intersection",
@@ -389,6 +470,7 @@ class Pushforward(Norm):
     def is_strictly_convex(self):
         return self.base.is_strictly_convex
 
+    @_computed_once
     def structure(self):
         s = self.base.structure()
         if len(s.corners) == 0:
@@ -407,6 +489,11 @@ class Pushforward(Norm):
         corners, tin, tout = _sorted_corner_arrays(corners, tin, tout)
         verts = corners if s.kind == "polygonal" else None
         return SphereStructure(s.kind, corners, tin, tout, vertices=verts)
+
+    def _support(self, u):
+        # the ball is M B, so h(u) = h_B(M^T u) at the point M z
+        h, z = self.base._support(u @ self.matrix)
+        return h, z @ self.matrix.T
 
     def to_spec(self):
         return {

@@ -170,5 +170,8 @@ def test_perp_point_preconditions():
 def test_zero_vector_rejected():
     with pytest.raises(PreconditionError):
         is_birkhoff_orth(PNorm(2), np.zeros(2), np.array([1.0, 0.0]))
+    for x, y in ((np.zeros(2), np.array([1.0, 0.0])), (np.array([1.0, 0.0]), np.zeros(2))):
+        with pytest.raises(PreconditionError):
+            birkhoff_margin(PNorm(2), x, y)
     with pytest.raises(PreconditionError):
         orth_cone(PNorm(2), np.zeros(2))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from normplane.cli import main
+from normplane.curves import curve_to_spec
 
 PUSH = [[1.2, 0.4], [-0.2, 0.9]]
 
@@ -142,9 +143,18 @@ def test_nd_far_degenerate_pair_exit_2(capsys, specs_dir):
     assert code == 2 and "error:" in err
 
 
-def test_nd_far_needs_a_norm(capsys, specs_dir):
+@pytest.mark.parametrize("mode", ["far", "metric"])
+def test_nd_far_needs_a_norm(capsys, specs_dir, mode):
     code, _, err = _run(capsys, "nd", "--spec", str(specs_dir / "drop.json"),
-                        "--mode", "far")
+                        "--mode", mode)
+    assert code == 2 and "%s mode needs a norm spec, not a sampled curve" % mode in err
+
+
+def test_nd_metric_rejects_symmetric_sampled_curve(capsys, tmp_path, double_drop):
+    # centrally symmetric, but still no unit sphere: the chord threshold
+    # 2 - delta*eps would give wrong verdicts rather than an error
+    path = _write(tmp_path, "double_drop.json", curve_to_spec(double_drop))
+    code, _, err = _run(capsys, "nd", "--spec", path, "--mode", "metric")
     assert code == 2 and "sampled curve" in err
 
 

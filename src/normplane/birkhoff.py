@@ -5,8 +5,9 @@ for every real lam, i.e. the line through x with direction y stays
 outside the open ball of radius norm(x).  The relation is not symmetric
 in general.  Each pointwise test is a norm distance from x to the line
 spanned by y, which the support function of the unit ball gives in
-closed form; cones of orthogonal directions come from scanning a half
-circle of directions and bisecting the pass boundary.
+closed form.  The cone of directions orthogonal to x is the set the
+pointwise test accepts; its ends are found by bracket searches over
+the support points of the normals within a quarter turn of x.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .curves import TWO_PI
 from .errors import PreconditionError
-from .norms import rot90
+from .norms import cross2, rot90
 
 __all__ = [
     "OrthCone",
@@ -95,98 +96,59 @@ class OrthCone:
         return float(sum(hi - lo for lo, hi in self.directions))
 
 
-def _margins(norm, x, thetas):
-    return _line_distance(norm, x, np.stack([np.cos(thetas), np.sin(thetas)], axis=-1))
+# each round splits both brackets 16 ways; 13 rounds take a half turn
+# below 1e-15 radians
+_SPLIT = 16
+_ROUNDS = 13
 
 
-def orth_cone(norm, x, angular_resolution=720, tol=1e-9):
-    """Cone of directions Birkhoff orthogonal to x.
+def orth_cone(norm, x, tol=1e-9):
+    """Cone of directions y that is_birkhoff_orth(norm, x, y, tol) accepts.
 
-    Margins are scanned over [0, pi) only, since the relation is
-    invariant under y -> -y, then mirrored.  Run boundaries on the scan
-    grid are refined by bisecting the pass predicate to 1e-9 radians.
-    For a smooth sphere point no grid direction need pass at tol, so
-    the scan falls back to refining the margin peak, which then sits at
-    the single orthogonal direction.
+    y passes when its line's normal n = rot90(y), taken within a quarter
+    turn of x, has n.x >= h(n) * norm(x) * (1 - tol), h the support
+    function.  As n turns anticlockwise through that half turn, the
+    support point z(n) runs anticlockwise through x, so the normals that
+    fail with z clockwise of x form a leading run and those that fail
+    with z anticlockwise of x a trailing run; the passing normals lie
+    between them.  One bracket per run end is narrowed together, with
+    one batched support call per round.  If no normal passes, the two
+    ends cross and both close on their midpoint.  Directions are the
+    normals turned back a quarter turn, mirrored by pi.
     """
     x = np.asarray(x, dtype=float)
     nx = float(norm.value(x))
     if nx == 0.0:
         raise PreconditionError("orth_cone requires a nonzero base vector")
-    n = int(angular_resolution)
-    thetas = np.arange(n) * (math.pi / n)
-    vals = _margins(norm, x, thetas)
-    thresh = nx * (1.0 - tol)
-    mask = vals >= thresh
-    if mask.all():
-        raise RuntimeError("every direction passed the orthogonality test")
-
-    if not mask.any():
-        half_runs = [_refine_peak(norm, x, thetas, vals, nx)]
-    else:
-        runs = _circular_runs(mask)
-        fail = []
-        ok = []
-        for i_lo, i_hi in runs:
-            fail += [(i_lo - 1) * math.pi / n, (i_hi + 1) * math.pi / n]
-            ok += [i_lo * math.pi / n, i_hi * math.pi / n]
-        ends = _bisect_boundaries(norm, x, thresh, np.array(fail), np.array(ok))
-        half_runs = []
-        for k in range(len(runs)):
-            a, b = ends[2 * k], ends[2 * k + 1]
-            if b < a:
-                b += math.pi  # run wraps through the scan origin
-            half_runs.append((a, b))
-
+    phi = math.atan2(x[1], x[0])
+    lo = np.full(2, phi - 0.5 * math.pi)
+    hi = np.full(2, phi + 0.5 * math.pi)
+    steps = np.arange(_SPLIT + 1) / _SPLIT
+    for _ in range(_ROUNDS):
+        angles = lo[:, None] + (hi - lo)[:, None] * steps
+        inner = angles[:, 1:-1]
+        n = np.stack([np.cos(inner), np.sin(inner)], axis=-1)
+        h, z = norm.support(n.reshape(-1, 2))
+        fail = n @ x < h.reshape(inner.shape) * nx * (1.0 - tol)
+        side = cross2(x, z).reshape(inner.shape)
+        # past[k, j]: split point j lies beyond the run end bracket k seeks,
+        # false at lo, true at hi and monotone in between
+        past = np.ones((2, _SPLIT + 1), dtype=bool)
+        past[:, 0] = False
+        past[0, 1:-1] = ~(fail[0] & (side[0] < 0.0))  # has left the leading run
+        past[1, 1:-1] = fail[1] & (side[1] > 0.0)  # has entered the trailing run
+        k = np.argmax(past, axis=1)
+        lo, hi = angles[[0, 1], k - 1], angles[[0, 1], k]
+    first, last = hi[0], lo[1]
+    if first > last:
+        first = last = 0.5 * (first + last)
+    a = first - 0.5 * math.pi
     intervals = []
-    for a, b in half_runs:
-        w = b - a
-        for shift in (0.0, math.pi):
-            lo = (a + shift) % TWO_PI
-            intervals.append((lo, lo + w))
+    for shift in (0.0, math.pi):
+        start = (a + shift) % TWO_PI
+        intervals.append((start, start + (last - first)))
     intervals.sort()
     return OrthCone(base_x=x / nx, directions=tuple(intervals))
-
-
-def _circular_runs(mask):
-    """Maximal runs of passing indices, joined across the array ends."""
-    n = len(mask)
-    idx = np.where(mask)[0]
-    breaks = np.where(np.diff(idx) > 1)[0]
-    runs = np.split(idx, breaks + 1)
-    if len(runs) > 1 and idx[0] == 0 and idx[-1] == n - 1:
-        runs[0] = np.concatenate([runs[-1] - n, runs[0]])
-        runs.pop()
-    return [(int(r[0]), int(r[-1])) for r in runs]
-
-
-def _bisect_boundaries(norm, x, thresh, fail, ok, iters=40):
-    # all run boundaries refined in lockstep, one margin batch per step
-    for _ in range(iters):
-        mid = 0.5 * (fail + ok)
-        passed = _margins(norm, x, mid) >= thresh
-        ok = np.where(passed, mid, ok)
-        fail = np.where(passed, fail, mid)
-    return ok % math.pi
-
-
-def _refine_peak(norm, x, thetas, vals, nx):
-    i = int(np.argmax(vals))
-    h = math.pi / len(thetas)
-    lo, hi = thetas[i] - h, thetas[i] + h
-    for _ in range(32):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        v1, v2 = _margins(norm, x, np.array([m1, m2]))
-        if v1 < v2:
-            lo = m1
-        else:
-            hi = m2
-    peak = 0.5 * (lo + hi)
-    if _margins(norm, x, np.array([peak]))[0] < nx * (1.0 - 1e-6):
-        raise RuntimeError("margin peak refinement failed to reach orthogonality")
-    peak = peak % math.pi
-    return peak, peak
 
 
 def perp_point(norm, x):

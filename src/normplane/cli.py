@@ -19,14 +19,14 @@ import math
 import sys
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .birkhoff import orth_cone
-from .curves import build_natural_param, curve_from_spec, unit_sphere
+from .curves import build_natural_param, curve_from_spec, target_params, unit_sphere
 from .diffdetect import (
     DELTA_GRID,
     EPS_GRID,
     build_metric_view,
+    chord_partner,
     far_field_test,
     nd_classify_metric,
     nd_oracle,
@@ -34,7 +34,6 @@ from .diffdetect import (
 from .errors import PreconditionError, SpecError
 from .isometry import (
     check_antipodes,
-    check_isometry,
     distortion_profile,
     equilateral_triples,
     fit_affine,
@@ -47,7 +46,7 @@ from .isometry import (
     zigzag,
 )
 from .norms import norm_eval, norm_from_spec
-from .svgplot import CHORD, CURVE, FAINT, MARK, PATH, canvas_for, curve_outline, draw_curve
+from .svgplot import CHORD, FAINT, MARK, PATH, canvas_for, curve_outline, draw_curve
 
 
 class InputError(Exception):
@@ -147,20 +146,8 @@ def cmd_norm_eval(args):
 # -- nd ------------------------------------------------------------------
 
 
-def _target_params(param, resolution):
-    """Corner parameters merged with a uniform net, deduplicated."""
-    L = param.period
-    ts = np.arange(int(resolution)) * (L / int(resolution))
-    ts = np.sort(np.concatenate([ts, param.corner_params()]) % L)
-    keep = np.concatenate([[True], np.diff(ts) > 1e-9])
-    ts = ts[keep]
-    if len(ts) > 1 and ts[0] + L - ts[-1] <= 1e-9:
-        ts = ts[:-1]
-    return ts
-
-
 def _nd_oracle_report(param, args):
-    ts = _target_params(param, args.resolution)
+    ts = target_params(param, args.resolution)
     entries = []
     counts = {"corner": 0, "smooth": 0, "unreliable": 0}
     for t in ts:
@@ -190,7 +177,7 @@ def _nd_metric_report(norm, param, args):
         raise InputError(
             "metric net spacing %.4g is too coarse for the finest eps level %.4g; "
             "raise --resolution until spacing <= eps/2" % (view.spacing, min(eps)))
-    ts = _target_params(param, args.targets)
+    ts = target_params(param, args.targets)
     pts = param.point_at(ts)
     report = nd_classify_metric(view.dist, view.antipode_map, view.sample,
                                 delta_grid=delta, eps_grid=eps, targets=pts,
@@ -228,20 +215,6 @@ def _nd_metric_report(norm, param, args):
         "verdict": "disagree" if disagree else "agree",
     }
     return body, (3 if disagree else 0)
-
-
-def _chord_partner(norm, x, y):
-    """Second sphere point on the line through y in direction x, or None."""
-
-    def f(s):
-        return float(norm.value(y + s * x)) - 1.0
-
-    if f(1e-3) >= 0.0:
-        return None
-    s1 = brentq(f, 1e-3, 2.2, xtol=1e-13)
-    if not 1e-6 < s1 < 2.0 - 1e-6:
-        return None
-    return y + s1 * x
 
 
 def _far_entry(norm, param, x, y, z, tol):
@@ -293,7 +266,7 @@ def _nd_far_report(norm, param, args):
             x = param.point_at(tx)
             for _ in range(60):
                 y = param.point_at(rng.uniform(0.0, param.period))
-                z = _chord_partner(norm, x, y)
+                z = chord_partner(norm, x, y)
                 if z is None:
                     continue
                 try:
@@ -515,7 +488,7 @@ def _overlay_prims(name, rest, norm, param):
         x = _parse_vec(rest, "orth_cone base point")
         cone = orth_cone(norm, x)
         for lo, hi in cone.directions:
-            angles = [lo] if hi - lo <= 1e-9 else list(np.linspace(lo, hi, 5))
+            angles = [0.5 * (lo + hi)] if cone.is_single_pair() else list(np.linspace(lo, hi, 5))
             for k, th in enumerate(angles):
                 u = np.array([math.cos(th), math.sin(th)])
                 p = u / float(norm.value(u))

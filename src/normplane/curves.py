@@ -37,6 +37,7 @@ __all__ = [
     "curve_from_spec",
     "curve_to_spec",
     "build_natural_param",
+    "target_params",
     "side_derivative",
     "extreme_points",
     "line_crossings",
@@ -474,6 +475,21 @@ def build_natural_param(curve, basepoint=None, resolution=16384):
     if isinstance(curve, Norm):
         curve = unit_sphere(curve)
     return NaturalParam(curve, basepoint=basepoint, resolution=resolution)
+
+
+def target_params(param, uniform):
+    """A uniform net of `uniform` parameters merged with the corner parameters.
+
+    Parameters closer than 1e-9, cyclically, are kept once.
+    """
+    L = param.period
+    ts = np.arange(int(uniform)) * (L / int(uniform))
+    ts = np.sort(np.concatenate([ts, param.corner_params()]) % L)
+    keep = np.concatenate([[True], np.diff(ts) > 1e-9])
+    ts = ts[keep]
+    if len(ts) > 1 and ts[0] + L - ts[-1] <= 1e-9:
+        ts = ts[:-1]
+    return ts
 
 
 def side_derivative(param, t, side):

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .curves import _as_param
 from .errors import PreconditionError
@@ -34,6 +35,7 @@ __all__ = [
     "NDEntry",
     "NDReport",
     "build_metric_view",
+    "chord_partner",
     "corner_basis",
     "extended_eps_levels",
     "far_field_profile",
@@ -327,6 +329,24 @@ def _one_sided_slope(g0, gs, hs):
     e1 = (10.0 * d[1] - d[0]) / 9.0
     e2 = (10.0 * d[2] - d[1]) / 9.0
     return float(e2), abs(float(e1 - e2))
+
+
+def chord_partner(norm, x, y):
+    """Second sphere point z = y + lam*x on the line through y along x, or None.
+
+    None when the line leaves the ball at once or lam is not safely
+    inside (0, 2), the range far_field_test accepts.
+    """
+
+    def f(s):
+        return float(norm.value(y + s * x)) - 1.0
+
+    if f(1e-3) >= 0.0:
+        return None
+    s1 = brentq(f, 1e-3, 2.2, xtol=1e-13)
+    if not 1e-6 < s1 < 2.0 - 1e-6:
+        return None
+    return y + s1 * x
 
 
 def far_field_test(norm, x, y, z, h_grid=(1e-3, 1e-4, 1e-5), slope_threshold=1e-3, param=None):

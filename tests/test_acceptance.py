@@ -12,12 +12,12 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 
 from normplane.birkhoff import birkhoff_margin, orth_cone
-from normplane.curves import build_natural_param, unit_sphere
+from normplane.curves import build_natural_param, target_params, unit_sphere
 from normplane.diffdetect import (
     build_metric_view,
+    chord_partner,
     corner_basis,
     far_field_profile,
     far_field_test,
@@ -45,32 +45,6 @@ EPS = (0.2, 0.1, 0.05, 0.02, 0.01)
 def _report(num, ok, detail):
     print("criterion %02d: %s  %s" % (num, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d failed: %s" % (num, detail)
-
-
-def _merged_targets(param, uniform):
-    """Corner params merged with a uniform net, deduplicated cyclically."""
-    L = param.period
-    ts = np.arange(int(uniform)) * (L / int(uniform))
-    ts = np.sort(np.concatenate([ts, param.corner_params()]) % L)
-    keep = np.concatenate([[True], np.diff(ts) > 1e-9])
-    ts = ts[keep]
-    if len(ts) > 1 and ts[0] + L - ts[-1] <= 1e-9:
-        ts = ts[:-1]
-    return ts
-
-
-def _chord_partner(norm, x, y):
-    """Second sphere point of the chord through y in direction x, or None."""
-
-    def f(s):
-        return float(norm.value(y + s * x)) - 1.0
-
-    if f(1e-3) >= 0.0:
-        return None
-    s1 = brentq(f, 1e-3, 2.2, xtol=1e-13)
-    if not 1e-6 < s1 < 2.0 - 1e-6:
-        return None
-    return y + s1 * x
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +79,7 @@ def test_criterion_02_metric_matches_oracle(params, metric_views):
     mismatches = []
     for name, p in params.items():
         view = metric_views[name]
-        ts = _merged_targets(p, 200)
+        ts = target_params(p, 200)
         assert len(ts) >= 200, name
         report = nd_classify_metric(view.dist, view.antipode_map, view.sample,
                                     targets=p.point_at(ts),
@@ -170,7 +144,7 @@ def test_criterion_04_far_field_on_strictly_convex(corpus, params):
                 tx = float(rng.uniform(0.0, p.period))
             x = p.point_at(tx)
             y = p.point_at(float(rng.uniform(0.0, p.period)))
-            z = _chord_partner(norm, x, y)
+            z = chord_partner(norm, x, y)
             if z is None:
                 continue
             try:

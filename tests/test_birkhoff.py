@@ -7,7 +7,7 @@ import pytest
 
 from normplane.errors import PreconditionError
 from normplane.norms import Hexagonal, PNorm, Pushforward
-from normplane.birkhoff import birkhoff_margin, is_birkhoff_orth, orth_cone, perp_point
+from normplane.birkhoff import _line_distance, birkhoff_margin, is_birkhoff_orth, orth_cone, perp_point
 from normplane.diffdetect import nd_oracle
 
 
@@ -89,6 +89,43 @@ def test_orth_cone_antipodal_pairing():
             lo2, hi2 = cone.directions[k + half]
             assert (lo2 - lo1) % (2.0 * math.pi) == pytest.approx(math.pi, abs=1e-7)
             assert hi1 - lo1 == pytest.approx(hi2 - lo2, abs=1e-7)
+
+
+def test_orth_cone_matches_direction_scan(params):
+    # the cone is the tol band of is_birkhoff_orth: a 720-direction scan of
+    # the closed-form line distance must agree with it away from the band edge
+    tol = 1e-9
+    thetas = np.arange(720) * (math.pi / 720)
+    dirs = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
+    for name, p in params.items():
+        ts = np.concatenate([p.corner_params(), np.arange(8) * (p.period / 8)])
+        for t in ts:
+            x = p.point_at(float(t))
+            nx = float(p.ambient.value(x))
+            cone = orth_cone(p.ambient, x, tol=tol)
+            dist = _line_distance(p.ambient, x, dirs)
+            inside = [cone.contains(th, slack=0.0) for th in thetas]
+            for th, d, isin in zip(thetas, dist, inside):
+                if d >= nx * (1.0 - tol / 2):
+                    assert isin, (name, float(t), float(th))
+                elif d < nx * (1.0 - 2.0 * tol):
+                    assert not isin, (name, float(t), float(th))
+            for lo, hi in cone.directions:
+                for th in (lo, hi):
+                    y = np.array([math.cos(th), math.sin(th)])
+                    assert is_birkhoff_orth(p.ambient, x, y, tol=2e-9), (name, float(t), th)
+
+
+def test_orth_cone_rotation_invariant_on_circle():
+    # congruent points of the round circle get cones of one width; float
+    # rounding of n.x and h(n) moves each band end by up to about 5e-12
+    widths = []
+    for x in ((1.0, 0.0), (0.6, 0.8)):
+        cone = orth_cone(PNorm(2), np.array(x))
+        assert cone.is_single_pair()
+        widths.append(cone.directions[0][1] - cone.directions[0][0])
+    assert widths[0] == pytest.approx(2.0 * math.acos(1.0 - 1e-9), abs=2e-11)
+    assert widths[0] == pytest.approx(widths[1], abs=2e-11)
 
 
 def test_orth_cone_homogeneity_of_membership():

@@ -38,7 +38,6 @@ __all__ = [
     "curve_to_spec",
     "build_natural_param",
     "target_params",
-    "side_derivative",
     "extreme_points",
     "line_crossings",
 ]
@@ -155,6 +154,16 @@ class ExtremeSet:
 
 
 _FD_STEPS = (1e-3, 1e-4, 1e-5)
+
+
+def _richardson(d):
+    """Extrapolate difference quotients d[0..2], taken at steps shrinking
+    tenfold, to step zero; returns (fine, coarse) from the last and first pair.
+
+    Both remove the first-order error term; their difference measures
+    how far the extrapolation disagrees with itself.
+    """
+    return (10.0 * d[2] - d[1]) / 9.0, (10.0 * d[1] - d[0]) / 9.0
 
 
 class NaturalParam:
@@ -417,57 +426,12 @@ class NaturalParam:
         pts = self.shift_point(anchor, deltas)
         dr = (pts[:3] - anchor[None, :]) / hs[:, None]
         dl = (anchor[None, :] - pts[3:]) / hs[:, None]
-
-        def rich(d):
-            e1 = (10.0 * d[1] - d[0]) / 9.0
-            e2 = (10.0 * d[2] - d[1]) / 9.0
-            return e2, float(self.ambient.value(e1 - e2))
-
-        right, dis_r = rich(dr)
-        left, dis_l = rich(dl)
-        dis = max(dis_l, dis_r)
+        right, coarse_r = _richardson(dr)
+        left, coarse_l = _richardson(dl)
+        dis = max(float(self.ambient.value(coarse_l - left)),
+                  float(self.ambient.value(coarse_r - right)))
         gap = float(self.ambient.value(left - right))
         return SideDerivatives(left, right, gap, dis <= 1e-4, False, dis)
-
-    # independent arc measurement, used as an oracle by the test suite
-
-    def arc_length_between(self, pa, pb):
-        """Anticlockwise arc length from point pa to point pb, measured afresh."""
-        if self._polygonal:
-            ta, tb = self.locate(pa), self.locate(pb)
-            return float((tb - ta) % self.period)
-        phi_a = math.atan2(pa[1], pa[0])
-        phi_b = math.atan2(pb[1], pb[0])
-        span = (phi_b - phi_a) % TWO_PI
-        if span == 0.0:
-            return 0.0
-        cuts = [0.0, span]
-        for k in (-1, 0, 1):
-            cand = self._corner_phis_abs + k * TWO_PI - phi_a
-            cuts.extend(cand[(cand > 0) & (cand < span)])
-        cuts = np.unique(np.asarray(cuts))
-        total = 0.0
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            total += self._arc_piece(phi_a + lo, phi_a + hi)
-        return float(total)
-
-    def _arc_piece(self, lo, hi, rel_tol=1e-12):
-        norm = self.curve.norm
-
-        def chord_sum(k):
-            phis = np.linspace(lo, hi, k + 1)
-            pts = norm.unit_point(phis)
-            return float(np.asarray(self.ambient.value(np.diff(pts, axis=0))).sum())
-
-        k = 16
-        prev = chord_sum(k)
-        while k < 2 ** 16:
-            k *= 2
-            cur = chord_sum(k)
-            if abs(cur - prev) <= rel_tol * abs(cur) + 1e-15:
-                return (4.0 * cur - prev) / 3.0
-            prev = cur
-        return (4.0 * cur - prev) / 3.0
 
 
 def build_natural_param(curve, basepoint=None, resolution=16384):
@@ -490,16 +454,6 @@ def target_params(param, uniform):
     if len(ts) > 1 and ts[0] + L - ts[-1] <= 1e-9:
         ts = ts[:-1]
     return ts
-
-
-def side_derivative(param, t, side):
-    """One-sided derivative of the parameterization at t, ambient-unit."""
-    info = param.side_derivative_info(t)
-    if side == "left":
-        return info.left
-    if side == "right":
-        return info.right
-    raise ValueError("side must be 'left' or 'right'")
 
 
 def _as_param(obj):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .curves import _as_param
+from .curves import _as_param, _richardson
 from .errors import PreconditionError
 
 __all__ = [
@@ -177,6 +177,15 @@ def _best_chord(dist, U, V):
     return float(chords[i, j]), U[i], V[j]
 
 
+def _level_chord(dist, sample, x, ax, eps, ball_sampler):
+    # shortest chord between the eps-neighbourhoods of x and of its antipode ax
+    U = _near(dist, sample, x, eps, ball_sampler)
+    V = _near(dist, sample, ax, eps, ball_sampler)
+    if len(U) == 0 or len(V) == 0:
+        raise PreconditionError("sample too coarse for eps = %g" % eps)
+    return _best_chord(dist, U, V)
+
+
 @dataclass(frozen=True, eq=False)
 class MetricTestResult:
     passed: bool
@@ -201,11 +210,7 @@ def metric_nd_test(dist, antipode_map, sample, x, delta, eps_grid=EPS_GRID, ball
     transcript = []
     passed = True
     for eps in eps_grid:
-        U = _near(dist, sample, x, eps, ball_sampler)
-        V = _near(dist, sample, ax, eps, ball_sampler)
-        if len(U) == 0 or len(V) == 0:
-            raise PreconditionError("sample too coarse for eps = %g" % eps)
-        best, u, v = _best_chord(dist, U, V)
+        best, u, v = _level_chord(dist, sample, x, ax, eps, ball_sampler)
         hit = best <= 2.0 - delta * eps
         transcript.append((float(eps), u, v, best, bool(hit)))
         passed = passed and hit
@@ -248,11 +253,7 @@ def _classify_point(dist, antipode_map, sample, x, delta_grid, levels, ball_samp
     safe_fail = {d: False for d in delta_grid}  # some level safely refused a witness
     transcript = []
     for eps in levels:
-        U = _near(dist, sample, x, eps, ball_sampler)
-        V = _near(dist, sample, ax, eps, ball_sampler)
-        if len(U) == 0 or len(V) == 0:
-            raise PreconditionError("sample too coarse for eps = %g" % eps)
-        best, u, v = _best_chord(dist, U, V)
+        best, u, v = _level_chord(dist, sample, x, ax, eps, ball_sampler)
         noise = noise_model(eps)
         transcript.append((float(eps), u, v, best, bool(best <= 2.0 - min(delta_grid) * eps)))
         for d in delta_grid:
@@ -326,9 +327,8 @@ def far_field_profile(norm, y, z, ts, param=None):
 
 def _one_sided_slope(g0, gs, hs):
     d = (gs - g0) / hs
-    e1 = (10.0 * d[1] - d[0]) / 9.0
-    e2 = (10.0 * d[2] - d[1]) / 9.0
-    return float(e2), abs(float(e1 - e2))
+    fine, coarse = _richardson(d)
+    return float(fine), abs(float(coarse - fine))
 
 
 def chord_partner(norm, x, y):

@@ -20,19 +20,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curves import (
     _DIRS,
     ConvexCurve,
     NaturalParam,
     _as_param,
+    _richardson,
     extreme_points,
     line_crossings,
     unit_sphere,
 )
 from .errors import PreconditionError, SpecError
-from .norms import Pushforward, cross2
+from .norms import cross2
 
 _ADJACENT = {"E": ("N", "S"), "N": ("W", "E"), "W": ("S", "N"), "S": ("E", "W")}
 
@@ -412,20 +412,8 @@ def require_distinct_extremes(curve):
     return ext
 
 
-def _reflected_curve(curve):
-    # mirror through the vertical axis, keeping anticlockwise orientation
-    M = np.array([[-1.0, 0.0], [0.0, 1.0]])
-    if curve.kind == "sphere":
-        return unit_sphere(Pushforward(curve.norm, M))
-    pts = (curve.points @ M.T)[::-1]
-    smooth = curve.smooth[::-1]
-    return ConvexCurve("sampled", Pushforward(curve.ambient, M),
-                       points=np.ascontiguousarray(pts),
-                       smooth=np.ascontiguousarray(smooth))
-
-
 def _arc_endpoint(es, take):
-    # take is "low" for the leftmost/undermost end, "high" for the other
+    # take is "first" or "second": that end of an extreme edge in traversal order
     if not es.is_segment:
         return es.points[0]
     return es.points[0] if take == "first" else es.points[1]
@@ -437,15 +425,24 @@ def chord_triple(curve, x):
     Returns (u, v, w, t) with all three points on the curve, w sharing
     its first coordinate with u and its second with v, and t nonzero.
     Axis directions x use a single horizontal or vertical chord and the
-    degenerate corner w = u (horizontal) or w = v (vertical).  All other
-    directions are found by walking a boundary arc and root-finding the
-    box aspect ratio against x1/x2.
+    degenerate corner w = u (horizontal) or w = v (vertical).
+
+    Any other x is first turned into the upper half plane.  Then w walks
+    the lower arc from the bottom extreme towards the side x leans to:
+    to the right extreme when x1 > 0, to the left one when x1 < 0.  u is
+    the top crossing of the vertical line through w, and v the crossing
+    of the horizontal line through w farthest on the other side.  At the
+    start of the walk w = v and the box is flatter than x; at its end
+    w = u and it is not.  Bisection of "the box is flatter than x" over
+    the walk, down to adjacent floats, finds the box whose diagonal
+    u - v is parallel to x.
     """
     x = np.asarray(x, dtype=float).reshape(2)
     nx = float(np.abs(x).max())
     if nx <= 0.0:
         raise PreconditionError("direction must be nonzero")
-    curve = _as_curve(curve)
+    given = curve
+    curve = _as_curve(given)
     ext = require_distinct_extremes(curve)
     vals = _extreme_values(ext)
 
@@ -470,67 +467,44 @@ def chord_triple(curve, x):
         u = comps[-1][1]
         t = float((u[1] - v[1]) / x[1])
         return u, v, v.copy(), sgn * t
-    if x[0] < 0.0:
-        M = np.array([[-1.0, 0.0], [0.0, 1.0]])
-        u, v, w, t = chord_triple(_reflected_curve(curve), M @ x)
-        return M @ u, M @ v, M @ w, sgn * t
 
-    # x points into the open first quadrant: walk the lower-right arc
-    param = _as_param(curve)
-    w0 = _arc_endpoint(ext["S"], "first")   # undermost, leftmost on a flat bottom
-    w1 = _arc_endpoint(ext["E"], "second")  # rightmost, top of a flat side
-    t0 = param.locate(w0)
-    span = (param.locate(w1) - t0) % param.period
-    rho = float(x[0] / x[1])
+    param = _as_param(given)
+    right = x[0] > 0.0
+    if right:  # anticlockwise from the bottom to the right extreme
+        t0 = param.locate(_arc_endpoint(ext["S"], "first"))
+        t1 = param.locate(_arc_endpoint(ext["E"], "second"))
+        span = (t1 - t0) % param.period
+    else:      # clockwise from the bottom to the left extreme
+        t0 = param.locate(_arc_endpoint(ext["S"], "second"))
+        t1 = param.locate(_arc_endpoint(ext["W"], "first"))
+        span = -((t0 - t1) % param.period)
+    rho = abs(float(x[0] / x[1]))
 
     def box(s):
         w = param.point_at(t0 + s * span)
         vert = line_crossings(curve, 0, float(w[0]))
         horz = line_crossings(curve, 1, float(w[1]))
         u = vert[-1][1]   # uppermost point over w
-        v = horz[0][0]    # leftmost point beside w
+        v = horz[0][0] if right else horz[-1][1]
         return u, v, w
 
-    def ratio_gap(s):
+    def flatter(s):
         u, v, w = box(s)
-        den = float(u[1] - w[1])
-        if den <= 0.0:
-            return math.inf
-        return float(w[0] - v[0]) / den - rho
+        height = float(u[1] - w[1])
+        return height > 0.0 and abs(float(w[0] - v[0])) < rho * height
 
-    lo, hi = _bracket_ratio(ratio_gap)
-    root = brentq(ratio_gap, lo, hi, xtol=1e-15)
-    u, v, w = box(root)
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if flatter(mid):
+            lo = mid
+        else:
+            hi = mid
+    u, v, w = box(lo)
     t = float((u[1] - v[1]) / x[1])
     return u, v, w, sgn * t
-
-
-def _bracket_ratio(fn):
-    # the gap runs from -x1/x2 near s=0 to +inf near s=1, but not monotonely
-    grid = np.linspace(1e-3, 1.0 - 1e-3, 129)
-    vs = [fn(s) for s in grid]
-    for i in range(len(grid) - 1):
-        if vs[i] <= 0.0 <= vs[i + 1] or vs[i] >= 0.0 >= vs[i + 1]:
-            return float(grid[i]), float(grid[i + 1])
-    lo, flo = float(grid[0]), vs[0]
-    for s in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-        if flo <= 0.0:
-            break
-        v = fn(s)
-        if v <= 0.0 <= flo:
-            return float(s), lo
-        lo, flo = float(s), v
-    hi, fhi = float(grid[-1]), vs[-1]
-    for s in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-        if not math.isinf(fhi) and fhi >= 0.0:
-            break
-        v = fn(1.0 - s)
-        if not math.isinf(v) and flo <= 0.0 <= v:
-            return hi, float(1.0 - s)
-        hi, fhi = float(1.0 - s), v
-    if flo <= 0.0 <= fhi:
-        return lo, hi
-    raise RuntimeError("no bracket for the chord box ratio; curve looks degenerate")
 
 
 # -- zigzag iteration ----------------------------------------------------
@@ -669,10 +643,10 @@ def nondiff_set(curve, a, sample_resolution=360, threshold=1e-3):
     through a.
 
     For each sampled b the one-sided slopes of t -> ||gamma_a(t) - b||
-    at t = 0 are estimated by step-halving extrapolation; b is flagged
-    when they disagree by more than threshold.  The base point itself is
-    part of the sample and is always flagged: its profile is |t| to
-    leading order.
+    at t = 0 are estimated by Richardson extrapolation over the steps
+    1e-3, 1e-4 and 1e-5; b is flagged when they disagree by more than
+    threshold.  The base point itself is part of the sample and is
+    always flagged: its profile is |t| to leading order.
     """
     a = np.asarray(a, dtype=float).reshape(2)
     param = _as_param(curve)
@@ -691,9 +665,8 @@ def nondiff_set(curve, a, sample_resolution=360, threshold=1e-3):
     G0 = norm.value(a - bs)
     right = (G[3:6] - G0) / hs[:, None]
     left = (G0 - G[0:3]) / hs[:, None]
-    # step-halving pairs; keep the finer extrapolation
-    r_fine = (10.0 * right[2] - right[1]) / 9.0
-    l_fine = (10.0 * left[2] - left[1]) / 9.0
+    r_fine, _ = _richardson(right)
+    l_fine, _ = _richardson(left)
     gaps = np.abs(r_fine - l_fine)
     flagged = gaps > threshold
     return NonDiffSample(a.copy(), ts, bs, gaps, flagged)

@@ -11,7 +11,6 @@ because downstream derivative checks compare against them directly.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -31,7 +30,6 @@ __all__ = [
     "is_strictly_convex",
     "norm_from_spec",
     "spec_to_json",
-    "load_spec",
     "rot90",
     "cross2",
 ]
@@ -566,15 +564,3 @@ def norm_from_spec(obj, path="spec"):
 
 def spec_to_json(norm):
     return norm.to_spec()
-
-
-def load_spec(path):
-    """Read a norm spec from a JSON file."""
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except OSError as exc:
-        raise SpecError("spec", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError("spec", f"invalid JSON in {path}: {exc}") from exc
-    return norm_from_spec(obj)

@@ -207,6 +207,55 @@ def test_arc_additivity(params):
         assert np.allclose(one, two, atol=1e-8)
 
 
+# -- arc length measured afresh, independent of the parameter table -------
+
+
+def _arc_piece(norm, lo, hi, rel_tol=1e-12):
+    # chord sums over a corner-free polar-angle range, Richardson-corrected
+
+    def chord_sum(k):
+        pts = norm.unit_point(np.linspace(lo, hi, k + 1))
+        return float(np.asarray(norm.value(np.diff(pts, axis=0))).sum())
+
+    k = 16
+    prev = chord_sum(k)
+    while k < 2 ** 16:
+        k *= 2
+        cur = chord_sum(k)
+        if abs(cur - prev) <= rel_tol * abs(cur) + 1e-15:
+            return (4.0 * cur - prev) / 3.0
+        prev = cur
+    return (4.0 * cur - prev) / 3.0
+
+
+def arc_length_between(norm, pa, pb):
+    """Anticlockwise arc length of the unit sphere from point pa to point pb."""
+    phi_a = math.atan2(pa[1], pa[0])
+    span = (math.atan2(pb[1], pb[0]) - phi_a) % (2.0 * math.pi)
+    corners = norm.structure().corners
+    cuts = [0.0, span]
+    for k in (-1, 0, 1):
+        cand = np.arctan2(corners[:, 1], corners[:, 0]) + k * 2.0 * math.pi - phi_a
+        cuts.extend(cand[(cand > 0) & (cand < span)])
+    cuts = np.unique(np.asarray(cuts))
+    return float(sum(_arc_piece(norm, phi_a + lo, phi_a + hi)
+                     for lo, hi in zip(cuts[:-1], cuts[1:])))
+
+
+def test_arc_length_table_matches_fresh_measurement(params, corpus):
+    # four arcs per sphere, together one full turn, from an off-knot start;
+    # the table's chord sums fall short of the arc by up to 3.6e-7 on
+    # l1_5_push, whose curvature blows up where the sheared axes meet it
+    for name, p in params.items():
+        ts = p.period * (np.arange(5) + 0.37) / 4.0
+        pts = p.point_at(ts)
+        located = np.array([p.locate(q) for q in pts])
+        for k in range(4):
+            arc = arc_length_between(corpus[name], pts[k], pts[k + 1])
+            assert arc == pytest.approx(ts[k + 1] - ts[k], abs=1e-6), name
+            assert arc == pytest.approx((located[k + 1] - located[k]) % p.period, abs=1e-6), name
+
+
 def test_drop_curve_shape(drop):
     st = drop.structure()
     assert len(st.corners) == 1

@@ -239,6 +239,45 @@ def test_chord_triple_generic_directions(params, angle):
     _assert_triple(params["lens"], x)
 
 
+MIRROR = np.diag([-1.0, 1.0])
+
+
+def _mirrored(curve):
+    # reflection in the vertical axis, traversed anticlockwise again
+    if curve.kind == "sphere":
+        return unit_sphere(Pushforward(curve.norm, MIRROR))
+    return sampled_curve((curve.points @ MIRROR.T)[::-1], curve.smooth[::-1],
+                         ambient=Pushforward(curve.ambient, MIRROR))
+
+
+def _off_curve(param, p):
+    if param.curve.kind == "sphere":
+        return abs(float(param.ambient.value(p)) - 1.0)
+    return float(param.ambient.value(param.point_at(param.locate(p)) - p))
+
+
+def test_chord_triple_corpus_and_mirror(params, drop):
+    # one seeded direction in each open upper quadrant per curve; each
+    # triple must equal the mirror image of the mirrored curve's triple
+    rng = np.random.default_rng(61)
+    cases = dict(params, drop=build_natural_param(drop))
+    for name, param in cases.items():
+        mirror = build_natural_param(_mirrored(param.curve))
+        for quarter in (0, 1):
+            th = (quarter + rng.uniform(0.02, 0.98)) * math.pi / 2.0
+            x = np.array([math.cos(th), math.sin(th)])
+            u, v, w, t = chord_triple(param, x)
+            assert t != 0.0, name
+            assert float(param.ambient.value(u - v - t * x)) <= 1e-9, name
+            assert abs(w[0] - u[0]) <= 1e-9 and abs(w[1] - v[1]) <= 1e-9, name
+            for p in (u, v, w):
+                assert _off_curve(param, p) <= 1e-9, name
+            mu, mv, mw, mt = chord_triple(mirror, MIRROR @ x)
+            for p, q in ((u, mu), (v, mv), (w, mw)):
+                assert np.allclose(p, MIRROR @ q, rtol=0.0, atol=1e-9), name
+            assert mt == pytest.approx(t, abs=1e-9), name
+
+
 def test_chord_triple_needs_distinct_extremes(double_drop):
     with pytest.raises(PreconditionError) as err:
         chord_triple(double_drop, np.array([1.0, 0.3]))

@@ -168,6 +168,9 @@ def _nd_metric_report(norm, param, args):
         # the 2 - delta*eps chord threshold assumes a unit sphere of diameter 2
         raise InputError("metric mode needs a norm spec, not a sampled curve")
     eps = args.eps_grid if args.eps_grid is not None else EPS_GRID
+    if max(eps) >= 1.0:
+        # at eps >= 1 the eps-arcs around a point and its antipode meet
+        raise InputError("--eps-grid values must be below 1, got %g" % max(eps))
     delta = args.delta_grid if args.delta_grid is not None else DELTA_GRID
     if args.resolution is None:
         view = build_metric_view(param, base_spacing=min(eps) / 4.0)

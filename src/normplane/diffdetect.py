@@ -121,12 +121,14 @@ def corner_basis(obj, x):
 class MetricView:
     """Metric access to a sphere: a symmetric net plus local refinement.
 
-    sample is a base net of curve points whose antipodes are exactly in
-    the net.  dist broadcasts the ambient distance over leading axes,
-    antipode_map sends a curve point to its antipode, and ball_sampler
-    returns curve points covering an arc of the given radius around a
-    given curve point at spacing radius/100.  spacing records the base
-    net's arc step.
+    sample is a base net of curve points in circular curve order whose
+    antipodes are exactly in the net.  dist broadcasts the ambient
+    distance over leading axes, antipode_map sends a curve point to its
+    antipode, and ball_sampler returns curve points in curve order
+    covering an arc of the given radius around a given curve point at
+    spacing radius/100.  spacing records the base net's arc step.  Order
+    along the sphere is a property of the metric space, so the metric
+    classifiers may use it.
     """
 
     sample: np.ndarray
@@ -162,28 +164,50 @@ def build_metric_view(obj, base_spacing=None):
                       ball_sampler=ball_sampler, spacing=param.period / n)
 
 
-def _near(dist, sample, center, eps, ball_sampler):
-    pts = sample
-    if ball_sampler is not None:
-        pts = np.concatenate([sample, np.atleast_2d(ball_sampler(center, eps))])
-    d = dist(pts, center)
-    keep = (d > 1e-12) & (d <= eps)
-    return pts[keep]
+def _arc_ends(d, eps, circular):
+    """Indices of the first and last point of every run with 1e-12 < d <= eps.
+
+    d holds distances to a center along points in curve order.  In a
+    circular list a run may wrap from the last point to the first.
+    """
+    inside = (d > 1e-12) & (d <= eps)
+    before = np.concatenate([inside[-1:] if circular else [False], inside[:-1]])
+    after = np.concatenate([inside[1:], inside[:1] if circular else [False]])
+    return np.flatnonzero(inside & ~(before & after))
 
 
-def _best_chord(dist, U, V):
-    chords = dist(U[:, None, :], V[None, :, :])
-    i, j = np.unravel_index(int(np.argmin(chords)), chords.shape)
-    return float(chords[i, j]), U[i], V[j]
+def _check_eps(levels):
+    if any(float(e) >= 1.0 for e in levels):
+        raise PreconditionError("eps levels must be below 1, or the arcs around x and -x meet")
 
 
-def _level_chord(dist, sample, x, ax, eps, ball_sampler):
-    # shortest chord between the eps-neighbourhoods of x and of its antipode ax
-    U = _near(dist, sample, x, eps, ball_sampler)
-    V = _near(dist, sample, ax, eps, ball_sampler)
-    if len(U) == 0 or len(V) == 0:
-        raise PreconditionError("sample too coarse for eps = %g" % eps)
-    return _best_chord(dist, U, V)
+def _level_chords(dist, sample, x, ax, levels, ball_sampler):
+    """(eps, chord, u, v) per level: the shortest chord between the eps-arcs of x and ax.
+
+    For fixed u the distance to v does not decrease as v runs along the
+    sphere from u to -u (the monotonicity lemma of normed planes).  For
+    eps < 1 the two arcs are disjoint, so the shortest chord joins an end
+    of one arc to an end of the other, and only run ends are compared:
+    circular runs of the net, linear runs of the ball sampler's points.
+    Rounding at d == eps can split a run, and the center point itself is
+    left out, so every run end is kept.  The net is measured once per
+    side; only the sampler's points are measured at each level.
+    """
+    sides = [(c, dist(sample, c)) for c in (x, ax)]
+    for eps in levels:
+        ends = []
+        for center, d_net in sides:
+            pts = [sample[_arc_ends(d_net, eps, circular=True)]]
+            if ball_sampler is not None:
+                ball = np.atleast_2d(ball_sampler(center, eps))
+                pts.append(ball[_arc_ends(dist(ball, center), eps, circular=False)])
+            ends.append(np.concatenate(pts))
+        U, V = ends
+        if len(U) == 0 or len(V) == 0:
+            raise PreconditionError("sample too coarse for eps = %g" % eps)
+        chords = dist(U[:, None, :], V[None, :, :])
+        i, j = np.unravel_index(int(np.argmin(chords)), chords.shape)
+        yield float(eps), float(chords[i, j]), U[i], V[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,19 +224,20 @@ def metric_nd_test(dist, antipode_map, sample, x, delta, eps_grid=EPS_GRID, ball
 
     Passes iff for every eps in the grid there are sample points
     u != x and v != -x with max(dist(u, x), dist(v, -x)) <= eps and
-    dist(u, v) <= 2 - delta*eps.  Witness pairs are found exhaustively
-    over the sample (refined by the ball sampler when given) and all
-    point identity checks go through dist, keeping the access honestly
-    metric-only.
+    dist(u, v) <= 2 - delta*eps.  The shortest such chord is found
+    exactly by comparing the ends of the in-ball runs of the sample
+    (refined by the ball sampler when given), which needs every eps
+    below 1; all point identity checks go through dist, keeping the
+    access honestly metric-only.
     """
+    _check_eps(eps_grid)
     x = np.asarray(x, dtype=float)
     ax = np.asarray(antipode_map(x), dtype=float)
     transcript = []
     passed = True
-    for eps in eps_grid:
-        best, u, v = _level_chord(dist, sample, x, ax, eps, ball_sampler)
+    for eps, best, u, v in _level_chords(dist, sample, x, ax, eps_grid, ball_sampler):
         hit = best <= 2.0 - delta * eps
-        transcript.append((float(eps), u, v, best, bool(hit)))
+        transcript.append((eps, u, v, best, bool(hit)))
         passed = passed and hit
     return MetricTestResult(passed, tuple(transcript))
 
@@ -252,10 +277,9 @@ def _classify_point(dist, antipode_map, sample, x, delta_grid, levels, ball_samp
     alive = {d: True for d in delta_grid}       # safe-passed every level so far
     safe_fail = {d: False for d in delta_grid}  # some level safely refused a witness
     transcript = []
-    for eps in levels:
-        best, u, v = _level_chord(dist, sample, x, ax, eps, ball_sampler)
+    for eps, best, u, v in _level_chords(dist, sample, x, ax, levels, ball_sampler):
         noise = noise_model(eps)
-        transcript.append((float(eps), u, v, best, bool(best <= 2.0 - min(delta_grid) * eps)))
+        transcript.append((eps, u, v, best, bool(best <= 2.0 - min(delta_grid) * eps)))
         for d in delta_grid:
             margin = (2.0 - d * eps) - best
             if margin <= noise:
@@ -281,11 +305,12 @@ def nd_classify_metric(dist, antipode_map, sample, delta_grid=None, eps_grid=Non
     points; smooth when every delta is safely refused at some level;
     unreliable otherwise.  noise_model maps eps to the chord-length
     slack the sampling density can hide, defaulting to the ball
-    sampler's eps/50.
+    sampler's eps/50.  Every eps level must be below 1.
     """
     if delta_grid is None:
         delta_grid = DELTA_GRID
     levels = extended_eps_levels(EPS_GRID if eps_grid is None else eps_grid)
+    _check_eps(levels)
     if targets is None:
         targets = sample
     if noise_model is None:

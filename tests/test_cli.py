@@ -114,6 +114,13 @@ def test_nd_metric_coarse_net_rejected(capsys, specs_dir):
     assert "too coarse" in err
 
 
+def test_nd_metric_eps_of_one_or_more_rejected(capsys, specs_dir):
+    code, _, err = _run(capsys, "nd", "--spec", str(specs_dir / "l2.json"),
+                        "--mode", "metric", "--eps-grid", "0.2,1.5")
+    assert code == 2
+    assert err.startswith("error:") and "below 1" in err
+
+
 def test_nd_far_blind_spot_exit_3(capsys, specs_dir):
     # vertical hexagon chords hide the corner at (0, 1) from the far test
     third = "%.16f" % (1.0 / 3.0)

@@ -11,6 +11,8 @@ from normplane.norms import Hexagonal, PNorm
 from normplane.curves import build_natural_param, unit_sphere
 from normplane.diffdetect import (
     EPS_GRID,
+    _arc_ends,
+    _level_chords,
     build_metric_view,
     corner_basis,
     extended_eps_levels,
@@ -28,6 +30,20 @@ LENS_TIP_Y = math.sqrt(1.3125)
 
 def _view(param):
     return build_metric_view(param)
+
+
+def _near(dist, sample, center, eps, ball_sampler):
+    # every in-ball point of the net and of the sampler, unordered
+    pts = np.concatenate([sample, np.atleast_2d(ball_sampler(center, eps))])
+    d = dist(pts, center)
+    return pts[(d > 1e-12) & (d <= eps)]
+
+
+def _exhaustive_chord(view, x, eps):
+    # reference for the run-end search: the full chord matrix of both eps-arcs
+    U = _near(view.dist, view.sample, x, eps, view.ball_sampler)
+    V = _near(view.dist, view.sample, view.antipode_map(x), eps, view.ball_sampler)
+    return float(np.min(view.dist(U[:, None, :], V[None, :, :])))
 
 
 def _classify(param, view, n_uniform=36):
@@ -121,21 +137,90 @@ def test_metric_test_smooth_point_fails_for_every_delta(params):
 
 
 def test_metric_witness_agrees_with_direct_search(params):
-    # re-find the winning short chord by brute force over the ball samples
+    # re-find the winning short chord by brute force over net and ball samples
     p = params["hexagonal"]
     view = _view(p)
     x = np.array([0.0, 1.0])
-    ax = view.antipode_map(x)
     eps = 0.1
-    U = view.ball_sampler(x, eps)
-    V = view.ball_sampler(ax, eps)
+    res = metric_nd_test(view.dist, view.antipode_map, view.sample, x, 0.5,
+                         eps_grid=(eps,), ball_sampler=view.ball_sampler)
+    _, u, v, chord, _ = res.transcript[0]
+    U = _near(view.dist, view.sample, x, eps, view.ball_sampler)
+    V = _near(view.dist, view.sample, view.antipode_map(x), eps, view.ball_sampler)
     best = math.inf
-    for u in U:
-        d = view.dist(u[None, :], V)
-        best = min(best, float(np.min(d)))
+    for w in U:
+        best = min(best, float(np.min(view.dist(w[None, :], V))))
+    assert abs(chord - best) <= 1e-15
+    assert chord == pytest.approx(float(view.dist(u, v)), abs=1e-15)
     # a corner admits a chord short of 2 by delta*eps, delta = 1/2 here,
     # up to the sampler's own granularity
     assert best <= 2.0 - 0.5 * eps + 2.0 * eps / 100.0
+
+
+def test_run_end_search_matches_exhaustive_chords(params):
+    # every corner and 8 seeded points per corpus sphere, at every level
+    levels = extended_eps_levels()
+    rng = np.random.default_rng(71)
+    worst = 0.0
+    for p in params.values():
+        view = _view(p)
+        ts = np.concatenate([p.corner_params(), rng.uniform(0.0, p.period, 8)])
+        for x in p.point_at(ts):
+            ax = view.antipode_map(x)
+            got = list(_level_chords(view.dist, view.sample, x, ax, levels, view.ball_sampler))
+            assert [g[0] for g in got] == list(levels)
+            for eps, chord, u, v in got:
+                worst = max(worst, abs(chord - _exhaustive_chord(view, x, eps)))
+                assert max(float(view.dist(u, x)), float(view.dist(v, ax))) <= eps + 1e-15
+    assert worst <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "d, circular, want",
+    [
+        # a run that wraps from the last net point to the first
+        ([0.1, 0.2, 5.0, 5.0, 5.0, 0.15, 0.05], True, [1, 5]),
+        # the excluded center splits one run into two
+        ([5.0, 0.2, 0.1, 0.0, 0.1, 0.2, 5.0], True, [1, 2, 4, 5]),
+        ([5.0, 5.0, 5.0, 5.0], True, []),
+        ([5.0, 5.0, 5.0], False, []),
+        # a linear sampler run keeps its array ends, a one-point run counts once
+        ([0.1, 0.2, 0.1, 0.0, 0.3, 0.1, 5.0, 0.2], False, [0, 2, 5, 7]),
+    ],
+)
+def test_arc_ends_hand_cases(d, circular, want):
+    got = _arc_ends(np.array(d), 0.25, circular=circular)
+    assert got.tolist() == want
+
+
+def test_metric_route_compares_run_ends_only(params):
+    # per target: the net once per side, the sampler's points and at most
+    # 16 x 16 run-end pairs per level, never the full chord matrix
+    view = _view(params["hexagonal"])
+    pairs = [0]
+
+    def counting(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        pairs[0] += int(np.prod(np.broadcast_shapes(a.shape, b.shape)[:-1]))
+        return view.dist(a, b)
+
+    rep = nd_classify_metric(counting, view.antipode_map, view.sample,
+                             targets=np.array([[0.0, 1.0]]), ball_sampler=view.ball_sampler)
+    assert rep.statuses() == ["corner"]
+    levels_run = len(rep.entries[0].transcript)
+    assert pairs[0] <= 2 * len(view.sample) + 2 * 211 * levels_run + 256 * levels_run
+
+
+def test_metric_route_needs_eps_below_one(params):
+    # at eps >= 1 the arcs around x and -x meet and run ends are not enough
+    view = _view(params["l2"])
+    x = np.array([1.0, 0.0])
+    with pytest.raises(PreconditionError):
+        metric_nd_test(view.dist, view.antipode_map, view.sample, x, 0.5,
+                       eps_grid=(0.2, 1.5), ball_sampler=view.ball_sampler)
+    with pytest.raises(PreconditionError):
+        nd_classify_metric(view.dist, view.antipode_map, view.sample, eps_grid=(1.0, 0.1),
+                           targets=x[None, :], ball_sampler=view.ball_sampler)
 
 
 def test_classification_counts(params):

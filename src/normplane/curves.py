@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import PreconditionError, SpecError
 from .norms import Norm, SphereStructure, cross2, norm_from_spec
@@ -191,16 +190,15 @@ class NaturalParam:
         else:
             basepoint = np.asarray(basepoint, dtype=float)
         ei, frac = self._project_polygon(verts, basepoint)
-        cycle = [verts[(ei + k) % len(verts)] for k in range(1, len(verts) + 1)]
+        n = len(verts)
+        cycle = verts[(ei + 1 + np.arange(n)) % n]
         if frac <= 1e-12:
-            start = verts[ei]
-            cycle = [start] + cycle
+            self.knots_p = np.concatenate([verts[ei:ei + 1], cycle])
         elif frac >= 1 - 1e-12:
-            cycle = [cycle[0]] + cycle[1:] + [cycle[0]]
+            self.knots_p = np.concatenate([cycle, cycle[:1]])
         else:
-            bp = verts[ei] + frac * (verts[(ei + 1) % len(verts)] - verts[ei])
-            cycle = [bp] + cycle + [bp]
-        self.knots_p = np.asarray(cycle)
+            bp = verts[ei] + frac * (verts[(ei + 1) % n] - verts[ei])
+            self.knots_p = np.concatenate([bp[None, :], cycle, bp[None, :]])
         seg = np.diff(self.knots_p, axis=0)
         self._seg_len = np.asarray(self.ambient.value(seg))
         self._seg_dir = seg / self._seg_len[:, None]
@@ -494,9 +492,8 @@ def extreme_points(curve):
                 out[name] = ExtremeSet(sel[[order[0], order[-1]]], True)
         return out
     # spheres that are not polygons are strictly convex here: one support point each
-    _, pts = curve.norm.support(np.stack(list(_DIRS.values())))
-    for name, p in zip(_DIRS, pts):
-        out[name] = ExtremeSet(p[None, :], False)
+    for name, p in zip(_DIRS, curve.norm.axis_extremes()):
+        out[name] = ExtremeSet(p[None, :].copy(), False)
     return out
 
 
@@ -506,6 +503,13 @@ def line_crossings(curve, axis, val):
     axis 0 means the vertical line x = val, axis 1 the horizontal line
     y = val.  Each component is (p_lo, p_hi, is_segment) with p_lo equal
     to p_hi for point components, sorted by the free coordinate.
+
+    Polygons are cut edge by edge: an edge whose ends lie on opposite
+    sides of the line meets it at a + u (b - a) with u = s_a / (s_a - s_b),
+    where s is the signed offset of a vertex from the line, and each run
+    of consecutive edges lying on the line is one segment component.
+    Other spheres are cut in closed form by `Norm.exits` (see
+    `_sphere_crossings`).
     """
     if curve.is_polygonal:
         return _polygon_crossings(_polygon_vertices(curve), axis, val)
@@ -517,27 +521,29 @@ def _polygon_crossings(verts, axis, val):
     scale = max(1.0, float(np.abs(verts).max()))
     tol = 1e-10 * scale
     other = 1 - axis
-    segs = []
-    singles = []
-    for i in range(n):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        sa = a[axis] - val
-        sb = b[axis] - val
-        if abs(sa) <= tol and abs(sb) <= tol:
-            segs.append((a.copy(), b.copy()))
-        elif abs(sa) <= tol:
-            singles.append(a.copy())
-        elif abs(sb) <= tol:
-            pass  # picked up as the next edge's start
-        elif sa * sb < 0:
-            u = sa / (sa - sb)
-            singles.append(a + u * (b - a))
+    # signed offsets of the vertices from the line, the first one repeated:
+    # edge i runs from offset s[i] to s[i + 1]
+    s = verts[:, axis] - val
+    s = np.append(s, s[0])
+    on = np.abs(s) <= tol
+    seg = on[:-1] & on[1:]
     comps = []
-    for a, b in segs:
-        lo, hi = (a, b) if a[other] <= b[other] else (b, a)
-        comps.append((lo, hi, True))
-    for p in singles:
+    if seg.any():
+        # each circular run of edges on the line, from its first vertex to its last
+        starts = np.flatnonzero(seg & ~np.roll(seg, 1))
+        ends = np.flatnonzero(seg & ~np.roll(seg, -1))
+        if ends[0] < starts[0]:
+            ends = np.roll(ends, -1)  # the first run wraps round the last vertex
+        for i, k in zip(starts, ends):
+            a, b = verts[i].copy(), verts[(k + 1) % n].copy()
+            comps.append((a, b, True) if a[other] <= b[other] else (b, a, True))
+    # a vertex on the line starts an edge that leaves it, or an edge crosses;
+    # an edge that ends on the line leaves that vertex to the next edge
+    hit = np.flatnonzero(~on[1:] & (on[:-1] | (s[:-1] * s[1:] < 0)))
+    nxt = (hit + 1) % n
+    u = s[hit] / (s[hit] - s[hit + 1])
+    cut = verts[hit] + u[:, None] * (verts[nxt] - verts[hit])
+    for p in np.where(on[hit, None], verts[hit], cut):
         on_seg = any(lo[other] - tol <= p[other] <= hi[other] + tol for lo, hi, _ in comps)
         dup = any(abs(p[other] - q[0][other]) <= tol for q in comps if not q[2])
         if not on_seg and not dup:
@@ -547,30 +553,32 @@ def _polygon_crossings(verts, axis, val):
 
 
 def _sphere_crossings(norm, axis, val):
-    d = np.zeros(2)
-    d[axis] = 1.0
-    _, (p_hi, p_lo) = norm.support(np.stack([d, -d]))
-    phi_hi = math.atan2(p_hi[1], p_hi[0])
-    phi_lo = math.atan2(p_lo[1], p_lo[0])
+    """Crossings of a sphere that is not a polygon with an axis line.
+
+    A value within 1e-11 (relative) of the axis extremes touches the
+    sphere at that extreme only, and one beyond them misses it.  Any
+    other value gives two points, where `Norm.exits` puts the ends of
+    the chord along the free axis: (1 - |val|^p)^(1/p) on a p-norm, the
+    roots of one quadratic per circle on l2 and disk intersections, and
+    the same on the base line inv(M) a + s inv(M) b for a pushforward,
+    where p-norms other than l2 take a convex Newton search.
+    """
+    ext = norm.axis_extremes()
+    p_hi, p_lo = ext[axis], ext[axis + 2]
     tol = 1e-11 * max(1.0, abs(p_hi[axis]), abs(p_lo[axis]))
     if val > p_hi[axis] + tol or val < p_lo[axis] - tol:
         return []
     if abs(val - p_hi[axis]) <= tol:
-        return [(p_hi, p_hi.copy(), False)]
+        return [(p_hi.copy(), p_hi.copy(), False)]
     if abs(val - p_lo[axis]) <= tol:
-        return [(p_lo, p_lo.copy(), False)]
-
-    def cross_on(a, b):
-        # coordinate along the chain is monotone between the two extremes
-        def f(phi):
-            return float(norm.unit_point(phi)[axis]) - val
-        span = (b - a) % TWO_PI
-        root = brentq(f, a, a + span, xtol=1e-14)
-        return norm.unit_point(root)
-
-    c1 = cross_on(phi_lo, phi_hi)
-    c2 = cross_on(phi_hi, phi_lo + TWO_PI)
-    other = 1 - axis
-    comps = [(c1, c1.copy(), False), (c2, c2.copy(), False)]
-    comps.sort(key=lambda c: c[0][other])
+        return [(p_lo.copy(), p_lo.copy(), False)]
+    a = np.zeros(2)
+    a[axis] = val
+    b = np.zeros(2)
+    b[1 - axis] = 1.0
+    comps = []
+    for s in norm.exits(a, b):
+        p = a.copy()
+        p[1 - axis] = s
+        comps.append((p, p.copy(), False))
     return comps

@@ -54,25 +54,49 @@ def _as_batch(v):
     return arr, False
 
 
-def _computed_once(structure):
-    """Cache a norm's sphere structure on the instance, its arrays read-only.
+def _computed_once(method):
+    """Cache a norm's sphere geometry on the instance, its arrays read-only.
 
-    Norms are immutable, so the structure is too; callers that need to
-    change an array must copy it.
+    method takes no argument besides the norm and returns an array or a
+    SphereStructure.  Norms are immutable, so the result is too; callers
+    that need to change an array must copy it.
     """
+    key = "_" + method.__name__
 
-    @functools.wraps(structure)
+    @functools.wraps(method)
     def cached(self):
-        s = self.__dict__.get("_structure")
-        if s is None:
-            s = structure(self)
-            for arr in (s.corners, s.corner_in, s.corner_out, s.vertices):
-                if arr is not None:
+        out = self.__dict__.get(key)
+        if out is None:
+            out = method(self)
+            arrays = [out] if isinstance(out, np.ndarray) else vars(out).values()
+            for arr in arrays:
+                if isinstance(arr, np.ndarray):
                     arr.flags.writeable = False
-            self._structure = s
-        return s
+            self.__dict__[key] = out
+        return out
 
     return cached
+
+
+# cap on the Newton steps of PNorm.exits; a tangent line at a point of
+# curvature zero converges slowest, by a factor 1 - 1/p per step
+_NEWTON_STEPS = 100
+
+
+def _circle_exits(a, b, centers, radius):
+    """Where the lines a + s b cross the circles |z - c_k| = radius.
+
+    Returns (lo, hi), each of shape (lines, circles), NaN where a line
+    misses a circle.
+    """
+    dx = a[:, 0:1] - centers[None, :, 0]
+    dy = a[:, 1:2] - centers[None, :, 1]
+    bx, by = b[:, 0:1], b[:, 1:2]
+    bb = bx * bx + by * by
+    db = dx * bx + dy * by
+    with np.errstate(invalid="ignore"):
+        sq = np.sqrt(db * db - bb * (dx * dx + dy * dy - radius * radius))
+    return (-db - sq) / bb, (-db + sq) / bb
 
 
 def _vertex_support(vertices, u):
@@ -140,6 +164,44 @@ class Norm:
 
     def _support(self, u):
         raise NotImplementedError
+
+    @_computed_once
+    def axis_extremes(self):
+        """Support points in the directions E, N, W, S, one row each."""
+        return self.support(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))[1]
+
+    def exits(self, a, b):
+        """Parameters s_lo <= s_hi where the line a + s*b crosses the unit sphere.
+
+        a is a point and b a nonzero direction, or two batches of them of
+        one length.  The ball is convex, so it meets each line in one
+        interval [s_lo, s_hi]; both ends are NaN when the line misses it.
+        Each family has a closed form or a convex search:
+
+        - PNorm, p = 2: the roots of the quadratic |a + s b|^2 = 1.
+        - PNorm, axis lines a = alpha e_i, b = beta e_j with i != j:
+          s = -h and +h with h = (1 - |alpha|^p)^(1/p) / |beta|.
+        - PNorm, other lines: s -> |a + s b| is convex, so each side of
+          its minimum holds one root.  A Newton search starts on each
+          side where the line leaves a disk holding the ball; from
+          outside, its iterates approach the root without passing it,
+          and an iterate past the minimum but still outside proves a
+          miss.  It raises ArithmeticError after _NEWTON_STEPS (100)
+          steps.
+        - DiskIntersection: the ball is the intersection of the disks,
+          so the interval is [max lo_k, min hi_k] over the per-disk
+          quadratic roots.
+        - Pushforward: the base's exits of inv(M) a + s inv(M) b.
+
+        Polygonal spheres meet lines through their vertices
+        (curves.line_crossings); their families have no exits.
+        """
+        arr, single = _as_batch(a)
+        lo, hi = self._exits(arr, _as_batch(b)[0])
+        return (float(lo[0]), float(hi[0])) if single else (lo, hi)
+
+    def _exits(self, a, b):
+        raise NotImplementedError("polygonal spheres meet lines through their vertices")
 
     def unit_point(self, theta):
         """Point of the unit sphere in direction theta (radians)."""
@@ -219,6 +281,53 @@ class PNorm(Norm):
         r = a / m[:, None]
         rq = (r[:, 0] ** q + r[:, 1] ** q) ** (1.0 / q)
         return m * rq, np.sign(u) * (r / rq[:, None]) ** (q - 1.0)
+
+    def _exits(self, a, b):
+        if self.p == 2.0:
+            lo, hi = _circle_exits(a, b, np.zeros((1, 2)), 1.0)
+            return lo[:, 0], hi[:, 0]
+        if not self.is_strictly_convex:
+            return super()._exits(a, b)
+        lo = np.full(len(a), np.nan)
+        hi = lo.copy()
+        axis = ((a[:, 1] == 0.0) & (b[:, 0] == 0.0)) | ((a[:, 0] == 0.0) & (b[:, 1] == 0.0))
+        if axis.any():
+            alpha = np.abs(a[axis, 0] + a[axis, 1])
+            beta = np.abs(b[axis, 0] + b[axis, 1])
+            with np.errstate(invalid="ignore"):
+                half = (1.0 - alpha ** self.p) ** (1.0 / self.p) / beta
+            lo[axis], hi[axis] = -half, half
+        if not axis.all():
+            lo[~axis], hi[~axis] = self._newton_exits(a[~axis], b[~axis])
+        return lo, hi
+
+    def _newton_exits(self, a, b):
+        # the ball lies in the disk of radius max(1, 2^(1/2 - 1/p)), so the
+        # line's exits from that disk start one search outside it on each side
+        lo, hi = _circle_exits(a, b, np.zeros((1, 2)), max(1.0, 2.0 ** (0.5 - 1.0 / self.p)))
+        n = len(a)
+        s = np.concatenate([lo[:, 0], hi[:, 0]])
+        side = np.repeat([-1.0, 1.0], n)
+        a, b = np.concatenate([a, a]), np.concatenate([b, b])
+        live = ~np.isnan(s)
+        steps = 0
+        while live.any():
+            if steps == _NEWTON_STEPS:
+                raise ArithmeticError("PNorm.exits: no convergence in %d Newton steps" % steps)
+            steps += 1
+            z = a + s[:, None] * b
+            nz = self.value(z)
+            # slope along b; the gradient of the p-norm is sign(z) (|z| / |z|_p)^(p-1)
+            g = np.sign(z) * (np.abs(z) / nz[:, None]) ** (self.p - 1.0)
+            slope = g[:, 0] * b[:, 0] + g[:, 1] * b[:, 1]
+            outside = live & (nz > 1.0)
+            inward = side * slope > 0.0
+            # past the minimum and still outside: the line misses the ball
+            s[outside & ~inward] = np.nan
+            step = np.divide(nz - 1.0, slope, out=np.zeros(2 * n), where=outside & inward)
+            s -= step
+            live = outside & inward & (np.abs(step) > 2.0 ** -50 * (1.0 + np.abs(s)))
+        return s[:n], s[n:]
 
     def to_spec(self):
         return {"family": "p", "p": "inf" if self.p == math.inf else self.p}
@@ -431,6 +540,13 @@ class DiskIntersection(Norm):
         rows = np.arange(n)
         return dots[rows, k], cand[rows, k]
 
+    def _exits(self, a, b):
+        lo, hi = _circle_exits(a, b, self.centers, self.radius)
+        lo, hi = lo.max(axis=1), hi.min(axis=1)
+        miss = ~(lo <= hi)
+        lo[miss] = hi[miss] = np.nan
+        return lo, hi
+
     def to_spec(self):
         return {
             "family": "disk_intersection",
@@ -492,6 +608,10 @@ class Pushforward(Norm):
         # the ball is M B, so h(u) = h_B(M^T u) at the point M z
         h, z = self.base._support(u @ self.matrix)
         return h, z @ self.matrix.T
+
+    def _exits(self, a, b):
+        # the ball is M B: a + s b lies in it when inv(M) a + s inv(M) b lies in B
+        return self.base._exits(a @ self.inv.T, b @ self.inv.T)
 
     def to_spec(self):
         return {

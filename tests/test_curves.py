@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from normplane import norms
 from normplane.errors import PreconditionError, SpecError
-from normplane.norms import Hexagonal, PNorm
+from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
 from normplane.curves import (
     build_natural_param,
     curve_from_spec,
@@ -123,6 +125,216 @@ def test_line_crossings_square():
     lo, hi, seg = edge[0]
     assert seg
     assert sorted([tuple(np.round(lo, 12)), tuple(np.round(hi, 12))]) == [(1.0, -1.0), (1.0, 1.0)]
+
+
+def test_line_crossings_drop_flat_edges(drop):
+    # the 256 sampled edges on each flat side are one component, not 256
+    for axis, want in ((0, [(1.0, 0.0), (1.0, 1.0)]), (1, [(0.0, 1.0), (1.0, 1.0)])):
+        comps = line_crossings(drop, axis, 1.0)
+        assert len(comps) == 1
+        lo, hi, seg = comps[0]
+        assert seg
+        assert np.allclose([lo, hi], want, rtol=0.0, atol=1e-15)
+
+
+# -- line crossings against the slow paths they replace -------------------
+
+
+def _loop_polygon_crossings(verts, axis, val):
+    # the edge-by-edge loop line_crossings ran before, one segment per edge
+    n = len(verts)
+    scale = max(1.0, float(np.abs(verts).max()))
+    tol = 1e-10 * scale
+    other = 1 - axis
+    segs = []
+    singles = []
+    for i in range(n):
+        a = verts[i]
+        b = verts[(i + 1) % n]
+        sa = a[axis] - val
+        sb = b[axis] - val
+        if abs(sa) <= tol and abs(sb) <= tol:
+            segs.append((a.copy(), b.copy()))
+        elif abs(sa) <= tol:
+            singles.append(a.copy())
+        elif abs(sb) <= tol:
+            pass  # picked up as the next edge's start
+        elif sa * sb < 0:
+            u = sa / (sa - sb)
+            singles.append(a + u * (b - a))
+    comps = []
+    for a, b in segs:
+        lo, hi = (a, b) if a[other] <= b[other] else (b, a)
+        comps.append((lo, hi, True))
+    for p in singles:
+        on_seg = any(lo[other] - tol <= p[other] <= hi[other] + tol for lo, hi, _ in comps)
+        dup = any(abs(p[other] - q[0][other]) <= tol for q in comps if not q[2])
+        if not on_seg and not dup:
+            comps.append((p, p.copy(), False))
+    comps.sort(key=lambda c: c[0][other])
+    return comps
+
+
+def _merge_runs(comps):
+    # join segments that share an end, in sorted order: one per run of edges
+    out = []
+    for comp in comps:
+        if comp[2] and out and out[-1][2] and np.array_equal(out[-1][1], comp[0]):
+            out[-1] = (out[-1][0], comp[1], True)
+        else:
+            out.append(comp)
+    return out
+
+
+def _brentq_sphere_crossings(norm, axis, val):
+    # the polar-angle root-finding line_crossings ran before on other spheres
+    d = np.zeros(2)
+    d[axis] = 1.0
+    _, (p_hi, p_lo) = norm.support(np.stack([d, -d]))
+    phi_hi = math.atan2(p_hi[1], p_hi[0])
+    phi_lo = math.atan2(p_lo[1], p_lo[0])
+    tol = 1e-11 * max(1.0, abs(p_hi[axis]), abs(p_lo[axis]))
+    if val > p_hi[axis] + tol or val < p_lo[axis] - tol:
+        return []
+    if abs(val - p_hi[axis]) <= tol:
+        return [(p_hi, p_hi.copy(), False)]
+    if abs(val - p_lo[axis]) <= tol:
+        return [(p_lo, p_lo.copy(), False)]
+
+    def cross_on(a, b):
+        # coordinate along the chain is monotone between the two extremes
+        def f(phi):
+            return float(norm.unit_point(phi)[axis]) - val
+        span = (b - a) % (2.0 * math.pi)
+        root = brentq(f, a, a + span, xtol=1e-14)
+        return norm.unit_point(root)
+
+    c1 = cross_on(phi_lo, phi_hi)
+    c2 = cross_on(phi_hi, phi_lo + 2.0 * math.pi)
+    other = 1 - axis
+    comps = [(c1, c1.copy(), False), (c2, c2.copy(), False)]
+    comps.sort(key=lambda c: c[0][other])
+    return comps
+
+
+def test_polygon_crossings_match_loop_reference(corpus, drop, double_drop):
+    # bitwise equal to the loop once its per-edge segments are merged; every
+    # vertex coordinate on the corpus polygons, a seeded 64 per axis on the
+    # drop curves (the loop takes 12 ms a call on drop's 9728 edges), and
+    # 200 seeded values per axis around each curve
+    rng = np.random.default_rng(89)
+    curves = {name: unit_sphere(n) for name, n in corpus.items()}
+    curves = {name: c for name, c in curves.items() if c.is_polygonal}
+    assert len(curves) == 8
+    curves.update(drop=drop, double_drop=double_drop)
+    merged = 0
+    for name, curve in curves.items():
+        verts = curve.points if curve.kind == "sampled" else curve.norm.structure().vertices
+        for axis in (0, 1):
+            coords = np.unique(verts[:, axis])
+            if len(coords) > 64:
+                # the extremes, drop's flat sides at 1 and a seeded 64
+                coords = np.concatenate([[coords.min(), coords.max(), 1.0],
+                                         rng.choice(coords, 64, replace=False)])
+            lo, hi = float(verts[:, axis].min()), float(verts[:, axis].max())
+            vals = np.concatenate([coords, rng.uniform(lo - 0.1, hi + 0.1, 200)])
+            for val in vals:
+                want = _loop_polygon_crossings(verts, axis, float(val))
+                got = line_crossings(curve, axis, float(val))
+                merged += len(want) - len(_merge_runs(want))
+                want = _merge_runs(want)
+                assert len(got) == len(want), (name, axis, val)
+                for (glo, ghi, gseg), (wlo, whi, wseg) in zip(got, want):
+                    assert gseg == wseg, (name, axis, val)
+                    assert np.array_equal(glo, wlo) and np.array_equal(ghi, whi), (name, axis, val)
+    assert merged >= 2 * 255  # the drop's flat edges were hit
+
+
+def test_sphere_crossings_match_brentq_reference(corpus):
+    # to 1e-13 on every smooth corpus sphere: seeded values, values within
+    # 1e-12 of each axis extreme (one point) and values beyond it (none)
+    rng = np.random.default_rng(97)
+    curves = {name: unit_sphere(n) for name, n in corpus.items()}
+    curves = {name: c for name, c in curves.items() if not c.is_polygonal}
+    assert len(curves) == 10
+    worst = 0.0
+    for name, curve in curves.items():
+        ext = extreme_points(curve)
+        for axis, (up, down) in enumerate((("E", "W"), ("N", "S"))):
+            top = float(ext[up].points[0][axis])
+            bottom = float(ext[down].points[0][axis])
+            near = [top - 1e-12, top - 3e-13, top, bottom, bottom + 3e-13, bottom + 1e-12]
+            beyond = [top + 1e-10, top + 0.01, bottom - 1e-10, bottom - 0.01]
+            for val in np.concatenate([rng.uniform(bottom, top, 60), near, beyond]):
+                want = _brentq_sphere_crossings(curve.norm, axis, float(val))
+                got = line_crossings(curve, axis, float(val))
+                count = 1 if val in near else 0 if val in beyond else 2
+                assert len(got) == len(want) == count, (name, axis, val)
+                for (glo, ghi, gseg), (wlo, whi, wseg) in zip(got, want):
+                    assert not gseg and not wseg
+                    assert np.array_equal(glo, ghi)
+                    worst = max(worst, float(np.abs(glo - wlo).max()))
+    assert worst <= 1e-13
+
+
+def _count_calls(monkeypatch, owners):
+    # count every call of the named methods on the given classes
+    calls = {}
+    for cls, method in owners:
+        orig = getattr(cls, method)
+        key = "%s.%s" % (cls.__name__, method)
+        calls[key] = 0
+
+        def counting(self, *args, _orig=orig, _key=key):
+            calls[_key] += 1
+            return _orig(self, *args)
+
+        monkeypatch.setattr(cls, method, counting)
+    return calls
+
+
+def test_quadratic_crossings_evaluate_no_norm(corpus, monkeypatch):
+    # on l2, lens and sixdisk_push a crossing is a closed form over cached
+    # axis extremes: after the first call, each line_crossings call makes
+    # 0 value calls and 0 unit_point calls, whatever the line
+    calls = _count_calls(monkeypatch, [(PNorm, "value"), (DiskIntersection, "value"),
+                                       (Pushforward, "value"), (Norm, "unit_point")])
+    rng = np.random.default_rng(101)
+    for name in ("l2", "lens", "sixdisk_push"):
+        curve = unit_sphere(corpus[name])
+        line_crossings(curve, 0, 0.0)
+        for axis in (0, 1):
+            for val in np.concatenate([rng.uniform(-1.0, 1.0, 20), [-0.999, 0.999, 5.0]]):
+                for key in calls:
+                    calls[key] = 0
+                line_crossings(curve, axis, float(val))
+                assert sum(calls.values()) == 0, (name, axis, val, calls)
+
+
+def test_newton_crossings_stop_within_cap(corpus, monkeypatch):
+    # l1_5_push and l3_push cross by Newton steps, one base value call each
+    # and none for the start; every line stops well inside the stated cap,
+    # near-tangent ones included
+    calls = _count_calls(monkeypatch, [(PNorm, "value")])
+    rng = np.random.default_rng(103)
+    worst = 0
+    for name in ("l1_5_push", "l3_push"):
+        curve = unit_sphere(corpus[name])
+        ext = extreme_points(curve)
+        for axis, (up, down) in enumerate((("E", "W"), ("N", "S"))):
+            top = float(ext[up].points[0][axis])
+            bottom = float(ext[down].points[0][axis])
+            near = [top - 1e-10, top - 1e-7, top - 1e-4, bottom + 1e-10, bottom + 1e-6]
+            for val in np.concatenate([rng.uniform(bottom, top, 100), near]):
+                calls["PNorm.value"] = 0
+                comps = line_crossings(curve, axis, float(val))
+                steps = calls["PNorm.value"]
+                assert steps <= norms._NEWTON_STEPS, (name, axis, val)
+                worst = max(worst, steps)
+                assert len(comps) == 2, (name, axis, val)
+                for p, _, _ in comps:
+                    assert abs(float(curve.norm.value(p)) - 1.0) <= 1e-14, (name, axis, val)
+    assert worst <= 40, worst  # 20 at 1e-10 from an extreme
 
 
 def test_corner_params_hexagon(params):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from normplane import norms
 from normplane.errors import SpecError
 from normplane.norms import (
     DiskIntersection,
@@ -128,6 +129,38 @@ def test_pushforward_transports_corners():
     got = sorted(map(tuple, np.asarray(push.structure().corners).round(9)))
     want = sorted(tuple(np.round(T @ np.asarray(v, dtype=float), 9)) for v in HEX_VERTICES)
     assert got == want
+
+
+def test_exits_hand_cases(monkeypatch):
+    # closed forms: the line y = 0.6 on l2, an axis line on l3
+    assert PNorm(2).exits([0.0, 0.6], [1.0, 0.0]) == pytest.approx((-0.8, 0.8), abs=1e-15)
+    half = (1.0 - 0.5 ** 3) ** (1.0 / 3.0)
+    assert PNorm(3).exits([0.5, 0.0], [0.0, 2.0]) == pytest.approx((-half / 2, half / 2), abs=1e-15)
+    # general lines, a batch each: both ends on the sphere, the chord inside it
+    rng = np.random.default_rng(7)
+    a = rng.uniform(-0.3, 0.3, size=(20, 2))
+    b = rng.normal(size=(20, 2))
+    lens = DiskIntersection([(0.5, 0.0), (-0.5, 0.0)], 1.25)
+    for norm in (PNorm(1.5), PNorm(2), PNorm(3), lens,
+                 Pushforward(PNorm(3), [[1.2, 0.4], [-0.2, 0.9]]), Pushforward(lens, [[0.0, 1.0], [1.0, 0.0]])):
+        lo, hi = norm.exits(a, b)
+        assert np.all(lo < hi), norm
+        ends = np.concatenate([a + lo[:, None] * b, a + hi[:, None] * b])
+        assert np.abs(norm.value(ends) - 1.0).max() <= 1e-14, norm
+        assert np.all(norm.value(a + 0.5 * (lo + hi)[:, None] * b) < 1.0), norm
+        # a line outside the ball misses it: NaN at both ends
+        assert np.isnan(norm.exits([3.0, 3.0], [1.0, -1.0])).all(), norm
+    # lines that cross the disk the Newton search starts from but miss the ball
+    assert np.isnan(PNorm(3).exits([1.05, 0.0], [-0.01, 1.0])).all()
+    assert np.isnan(PNorm(1.5).exits([0.7, 0.7], [1.0, -1.0])).all()
+    # a search that needs more than the cap of steps raises
+    monkeypatch.setattr(norms, "_NEWTON_STEPS", 1)
+    with pytest.raises(ArithmeticError):
+        PNorm(3).exits([0.1, 0.2], [1.0, 0.3])
+    # polygonal spheres meet lines through their vertices instead
+    for norm in (PNorm(1), PNorm(math.inf), Hexagonal(), Pushforward(Hexagonal(), np.eye(2))):
+        with pytest.raises(NotImplementedError):
+            norm.exits([0.0, 0.0], [1.0, 0.0])
 
 
 @settings(max_examples=60, deadline=None)

@@ -81,7 +81,9 @@ def test_structure_is_computed_once_and_read_only(corpus):
     for name, norm in corpus.items():
         s = norm.structure()
         assert norm.structure() is s, name
-        for arr in (s.corners, s.corner_in, s.corner_out, s.vertices):
+        ext = norm.axis_extremes()
+        assert norm.axis_extremes() is ext, name
+        for arr in (s.corners, s.corner_in, s.corner_out, s.vertices, ext):
             if arr is None:
                 continue
             assert not arr.flags.writeable, name

@@ -38,10 +38,9 @@ from .isometry import (
     equilateral_triples,
     fit_affine,
     fit_linear,
-    linear_map,
+    map_from_spec,
     rigidity_verdict,
     staircase,
-    table_map,
     two_corner_undetermined,
     zigzag,
 )
@@ -163,6 +162,21 @@ def _nd_oracle_report(param, args):
     return {"counts": counts, "entries": entries}, 0
 
 
+def _agreement(status, oracle):
+    """A route's corner/smooth/unreliable status against the oracle's."""
+    if status == "unreliable" or oracle == "unreliable":
+        return "unresolved"
+    return "agree" if status == oracle else "disagree"
+
+
+def _tally(body):
+    """Add the agreement counts and the verdict to a report body; return it and the exit code."""
+    counts = {k: sum(e["agreement"] == k for e in body["entries"])
+              for k in ("agree", "disagree", "unresolved")}
+    body.update(agreement=counts, verdict="disagree" if counts["disagree"] else "agree")
+    return body, (3 if counts["disagree"] else 0)
+
+
 def _nd_metric_report(norm, param, args):
     if norm is None:
         # the 2 - delta*eps chord threshold assumes a unit sphere of diameter 2
@@ -187,51 +201,35 @@ def _nd_metric_report(norm, param, args):
                                 ball_sampler=view.ball_sampler)
     entries = []
     counts = {"corner": 0, "smooth": 0, "unreliable": 0}
-    agree = disagree = unresolved = 0
     for t, entry in zip(ts, report.entries):
         oracle = nd_oracle(param, t, threshold=args.tol)
         counts[entry.status] += 1
-        if entry.status == "unreliable" or oracle == "unreliable":
-            outcome = "unresolved"
-            unresolved += 1
-        elif entry.status == oracle:
-            outcome = "agree"
-            agree += 1
-        else:
-            outcome = "disagree"
-            disagree += 1
         entries.append({
-            "agreement": outcome,
+            "agreement": _agreement(entry.status, oracle),
             "metric": entry.status,
             "oracle": oracle,
             "point": _vec(entry.point),
             "t": float(t),
         })
-    body = {
-        "agreement": {"agree": agree, "disagree": disagree, "unresolved": unresolved},
+    return _tally({
         "counts": counts,
         "delta_grid": [float(d) for d in delta],
         "entries": entries,
         "eps_grid": [float(e) for e in eps],
         "net_spacing": float(view.spacing),
         "net_size": int(len(view.sample)),
-        "verdict": "disagree" if disagree else "agree",
-    }
-    return body, (3 if disagree else 0)
+    })
+
+
+# far-field verdicts as the oracle's statuses
+_FAR_STATUS = {"differentiable": "smooth", "not_differentiable": "corner", "inconclusive": "unreliable"}
 
 
 def _far_entry(norm, param, x, y, z, tol):
     res = far_field_test(norm, x, y, z, slope_threshold=tol, param=param)
     oracle = nd_oracle(param, param.locate(x), threshold=tol)
-    matches = {"differentiable": "smooth", "not_differentiable": "corner"}
-    if res.verdict == "inconclusive" or oracle == "unreliable":
-        outcome = "unresolved"
-    elif matches[res.verdict] == oracle:
-        outcome = "agree"
-    else:
-        outcome = "disagree"
     return {
-        "agreement": outcome,
+        "agreement": _agreement(_FAR_STATUS[res.verdict], oracle),
         "lam": float(norm.value(z - y)),
         "oracle": oracle,
         "slope_disagreement": float(res.disagreement),
@@ -279,15 +277,7 @@ def _nd_far_report(norm, param, args):
                 break
     if not entries:
         raise InputError("no admissible (y, z) pair found; pass --points explicitly")
-    agree = sum(e["agreement"] == "agree" for e in entries)
-    disagree = sum(e["agreement"] == "disagree" for e in entries)
-    unresolved = sum(e["agreement"] == "unresolved" for e in entries)
-    body = {
-        "agreement": {"agree": agree, "disagree": disagree, "unresolved": unresolved},
-        "entries": entries,
-        "verdict": "disagree" if disagree else "agree",
-    }
-    return body, (3 if disagree else 0)
+    return _tally({"entries": entries})
 
 
 def _nd_text(payload):
@@ -349,30 +339,6 @@ def _distortion_histogram(profile):
     return {lab: int(c) for lab, c in zip(labels, counts)}
 
 
-def _load_map(path, src, tgt):
-    obj = _read_json(path)
-    if not isinstance(obj, dict) or "form" not in obj:
-        raise InputError("%s: expected a map object with a 'form' field" % path)
-    form = obj["form"]
-    try:
-        if form == "linear":
-            if "matrix" not in obj:
-                raise InputError("%s: linear map needs a matrix" % path)
-            M = np.asarray(obj["matrix"], dtype=float)
-            if M.shape != (2, 2) or not np.all(np.isfinite(M)):
-                raise InputError("%s: matrix must be a finite 2x2 array" % path)
-            # landing on the target curve is the harness's question, not
-            # a load-time requirement, so validation is disabled here
-            return linear_map(src, tgt, M, tol=math.inf)
-        if form == "param_table":
-            if "pairs" not in obj:
-                raise InputError("%s: param_table map needs pairs" % path)
-            return table_map(src, tgt, obj["pairs"])
-    except PreconditionError as exc:
-        raise InputError("%s: %s" % (path, exc)) from exc
-    raise InputError("%s: unknown map form %r" % (path, form))
-
-
 def _independent_param(param):
     """Parameter whose point is most transverse to the basepoint ray."""
     L = param.period
@@ -386,7 +352,7 @@ def _independent_param(param):
 def cmd_iso(args):
     src_norm, src = _load_plane(args.source_spec)
     _, tgt = _load_plane(args.target_spec)
-    m = _load_map(args.map, src, tgt)
+    m = map_from_spec(_read_json(args.map), src, tgt, path=args.map)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     for c in checks:
         if c not in _CHECK_NAMES:

@@ -87,7 +87,10 @@ def sampled_curve(points, smooth=None, ambient=None):
     smooth flags mark which vertices stand for smooth points of an ideal
     curve; unflagged vertices are treated as genuine corners.
     """
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError("curve.points", "expected an array of point pairs") from exc
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
         raise SpecError("curve.points", "need at least 3 point pairs")
     if not np.all(np.isfinite(pts)):
@@ -110,7 +113,10 @@ def sampled_curve(points, smooth=None, ambient=None):
     if smooth is None:
         flags = np.ones(n, dtype=bool)
     else:
-        flags = np.asarray(smooth, dtype=bool)
+        try:
+            flags = np.asarray(smooth, dtype=bool)
+        except (TypeError, ValueError) as exc:
+            raise SpecError("curve.smooth", "expected a list of flags") from exc
         if flags.shape != (n,):
             raise SpecError("curve.smooth", f"need exactly {n} flags")
     if ambient is None:
@@ -508,8 +514,9 @@ def line_crossings(curve, axis, val):
     sides of the line meets it at a + u (b - a) with u = s_a / (s_a - s_b),
     where s is the signed offset of a vertex from the line, and each run
     of consecutive edges lying on the line is one segment component.
-    Other spheres are cut in closed form by `Norm.exits` (see
-    `_sphere_crossings`).
+    Sampled curves have no norm of their own, so this pass serves every
+    polygon, polygonal norms included.  Other spheres are cut in closed
+    form by `Norm.exits` (see `_sphere_crossings`).
     """
     if curve.is_polygonal:
         return _polygon_crossings(_polygon_vertices(curve), axis, val)

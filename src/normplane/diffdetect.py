@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curves import _as_param, _richardson
 from .errors import PreconditionError
@@ -357,21 +356,17 @@ def _one_sided_slope(g0, gs, hs):
 
 
 def chord_partner(norm, x, y):
-    """Second sphere point z = y + lam*x on the line through y along x, or None.
+    """Second sphere point z = y + s*x on the line through y along x, or None.
 
-    None when the line leaves the ball at once or lam is not safely
-    inside (0, 2), the range far_field_test accepts.
+    s is the far end of `Norm.exits(y, x)`, a closed form on every family.
+    None unless s lies in (1e-3, 2 - 1e-6), inside the range far_field_test
+    accepts, and the chord's midpoint lies 1e-12 inside the ball: a chord
+    along a flat piece of the sphere is not a chord of the ball.
     """
-
-    def f(s):
-        return float(norm.value(y + s * x)) - 1.0
-
-    if f(1e-3) >= 0.0:
+    _, s = norm.exits(y, x)
+    if not 1e-3 < s < 2.0 - 1e-6 or float(norm.value(y + 0.5 * s * x)) >= 1.0 - 1e-12:
         return None
-    s1 = brentq(f, 1e-3, 2.2, xtol=1e-13)
-    if not 1e-6 < s1 < 2.0 - 1e-6:
-        return None
-    return y + s1 * x
+    return y + s * x
 
 
 def far_field_test(norm, x, y, z, h_grid=(1e-3, 1e-4, 1e-5), slope_threshold=1e-3, param=None):

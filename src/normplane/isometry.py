@@ -128,21 +128,36 @@ def table_map(source, target, pairs):
 
 
 def map_from_spec(obj, source, target, path="map"):
+    """A SphereMap from its JSON form; a bad field raises SpecError at its path.
+
+    A linear map's matrix must be a finite 2x2 array and a param table's
+    pairs a finite array.  Linear maps load without a landing check:
+    whether the matrix carries the source curve onto the target is what
+    the harness measures.
+    """
     if not isinstance(obj, dict) or "form" not in obj:
-        raise SpecError(path, "expected an object with a 'form' field")
+        raise SpecError(path, "expected a map object with a 'form' field")
     form = obj["form"]
+    key = "matrix" if form == "linear" else "pairs" if form == "param_table" else None
+    if key is None:
+        raise SpecError(path + ".form", "unknown map form %r" % (form,))
+    field = "%s.%s" % (path, key)
+    if key not in obj:
+        raise SpecError(field, "missing required field")
+    try:
+        arr = np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecError(field, "expected an array of numbers") from exc
+    if not np.all(np.isfinite(arr)):
+        raise SpecError(field, "values must be finite")
+    if form == "linear" and arr.shape != (2, 2):
+        raise SpecError(field, "need a 2x2 matrix")
     try:
         if form == "linear":
-            if "matrix" not in obj:
-                raise SpecError(path + ".matrix", "missing")
-            return linear_map(source, target, np.asarray(obj["matrix"], dtype=float))
-        if form == "param_table":
-            if "pairs" not in obj:
-                raise SpecError(path + ".pairs", "missing")
-            return table_map(source, target, obj["pairs"])
+            return linear_map(source, target, arr, tol=math.inf)
+        return table_map(source, target, arr)
     except PreconditionError as exc:
         raise SpecError(path, str(exc)) from exc
-    raise SpecError(path + ".form", "unknown form %r" % (form,))
 
 
 def map_to_spec(m):

@@ -192,16 +192,29 @@ class Norm:
           so the interval is [max lo_k, min hi_k] over the per-disk
           quadratic roots.
         - Pushforward: the base's exits of inv(M) a + s inv(M) b.
-
-        Polygonal spheres meet lines through their vertices
-        (curves.line_crossings); their families have no exits.
+        - Polygons (PNorm with p = 1 or inf, PolygonGauge, Hexagonal): the
+          ball is the intersection of the half-planes n_k . z <= n_k . w_k
+          of its edges; each holds the line on a ray, or on all of it or
+          none when they are parallel, so again [max lo_k, min hi_k].
         """
         arr, single = _as_batch(a)
         lo, hi = self._exits(arr, _as_batch(b)[0])
         return (float(lo[0]), float(hi[0])) if single else (lo, hi)
 
     def _exits(self, a, b):
-        raise NotImplementedError("polygonal spheres meet lines through their vertices")
+        w = self.structure().vertices
+        nxt = np.roll(w, -1, axis=0)
+        # outward normals n_k of the anticlockwise edges; n_k . w_k = w_k x w_(k+1)
+        n = rot90(w - nxt)
+        room = cross2(w, nxt)[None, :] - a @ n.T
+        rate = b @ n.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = room / rate
+        lo = np.where(rate < 0.0, s, -np.inf).max(axis=1)
+        hi = np.where(rate > 0.0, s, np.inf).min(axis=1)
+        miss = ~(lo <= hi) | ((rate == 0.0) & (room < 0.0)).any(axis=1)
+        lo[miss] = hi[miss] = np.nan
+        return lo, hi
 
     def unit_point(self, theta):
         """Point of the unit sphere in direction theta (radians)."""

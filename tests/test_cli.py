@@ -144,6 +144,16 @@ def test_nd_far_random_probes_agree(capsys, specs_dir):
     assert payload["agreement"]["disagree"] == 0
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_nd_far_pushed_hexagon_agrees(capsys, specs_dir, seed):
+    # chords along a flat edge of the sphere are no chords of the ball; taking
+    # them gave false disagreements next to the edge's end vertex
+    code, out, _ = _run(capsys, "nd", "--spec", str(specs_dir / "hexagonal_push.json"),
+                        "--mode", "far", "--seed", str(seed))
+    assert code == 0
+    assert json.loads(out)["agreement"] == {"agree": 8, "disagree": 0, "unresolved": 0}
+
+
 def test_nd_far_degenerate_pair_exit_2(capsys, specs_dir):
     code, _, err = _run(capsys, "nd", "--spec", str(specs_dir / "l2.json"),
                         "--mode", "far", "--points", "1,0;1,0")
@@ -163,6 +173,16 @@ def test_nd_metric_rejects_symmetric_sampled_curve(capsys, tmp_path, double_drop
     path = _write(tmp_path, "double_drop.json", curve_to_spec(double_drop))
     code, _, err = _run(capsys, "nd", "--spec", path, "--mode", "metric")
     assert code == 2 and "sampled curve" in err
+
+
+@pytest.mark.parametrize(
+    "points",
+    [[[1, 0], [0, 1, 2], [-1, 0], [0, -1]], [[1, 0], ["up", 1], [-1, 0], [0, -1]]],
+)
+def test_nd_bad_curve_file_exit_2(capsys, tmp_path, points):
+    path = _write(tmp_path, "curve.json", {"points": points, "ambient": {"family": "p", "p": 1}})
+    code, _, err = _run(capsys, "nd", "--spec", path, "--mode", "oracle")
+    assert code == 2 and err.startswith("error:") and "points" in err
 
 
 def test_nd_text_format(capsys, specs_dir):
@@ -226,6 +246,10 @@ def test_iso_distorted_matrix_rejected(capsys, specs_dir, tmp_path):
         {"form": "linear", "matrix": [[1, 0, 0], [0, 1, 0]]},
         {"form": "linear", "matrix": [[1, 2], [2, 4]]},
         {"form": "param_table", "pairs": [[0, 0], [2, 1], [1, 3], [4, 5]]},
+        {"form": "param_table", "pairs": [[0, 0], [1], [2, 3]]},
+        {"form": "param_table", "pairs": [[0, 0], ["one", 1], [2, 3]]},
+        {"form": "linear", "matrix": "identity"},
+        {"form": "linear", "matrix": [[float("nan"), 0], [0, 1]]},
     ],
 )
 def test_iso_bad_map_files_exit_2(capsys, specs_dir, tmp_path, obj):
@@ -308,6 +332,24 @@ def test_repeat_runs_are_byte_identical(capsys, specs_dir, tmp_path, argv):
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
     assert len(outs[0]) > 0
+
+
+def test_cli_runs_without_scipy(repo_root, child_env, tmp_path):
+    # the library needs numpy only: the child makes every scipy import fail
+    script = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from normplane.cli import main",
+        "out = sys.argv[1]",
+        "codes = [main(['norm-eval', '--spec', 'specs/%s.json', '--vector', '3,-2', '--out', out]),"
+        "         main(['nd', '--spec', 'specs/%s.json', '--mode', 'far', '--out', out])]",
+        "print(codes, [m for m, mod in sys.modules.items() if m.startswith('scipy') and mod])",
+    ])
+    for name in ("l2", "hexagonal"):
+        proc = subprocess.run([sys.executable, "-c", script % (name, name), str(tmp_path / "out")],
+                              capture_output=True, text=True, env=child_env(), cwd=repo_root)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0] []", (name, proc.stdout, proc.stderr)
 
 
 def test_console_entry_point(repo_root, child_env):

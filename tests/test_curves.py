@@ -519,6 +519,12 @@ def test_curve_spec_roundtrip(drop):
         ({"points": [[0, 0], [1, 0]], "ambient": {"family": "p", "p": 1}}, "points"),
         ({"points": [[1, 0], [0, 1], [-1, 0], [0, -1]],
           "ambient": {"family": "p", "p": 1}, "smooth": [True]}, "smooth"),
+        ({"points": [[1, 0], [0, 1, 2], [-1, 0], [0, -1]],
+          "ambient": {"family": "p", "p": 1}}, "points"),
+        ({"points": [[1, 0], ["up", 1], [-1, 0], [0, -1]],
+          "ambient": {"family": "p", "p": 1}}, "points"),
+        ({"points": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+          "ambient": {"family": "p", "p": 1}, "smooth": [[True], [True, False], [], []]}, "smooth"),
     ],
 )
 def test_curve_spec_validation(obj, fragment):

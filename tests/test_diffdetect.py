@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from normplane.errors import PreconditionError
 from normplane.norms import Hexagonal, PNorm
@@ -14,6 +15,7 @@ from normplane.diffdetect import (
     _arc_ends,
     _level_chords,
     build_metric_view,
+    chord_partner,
     corner_basis,
     extended_eps_levels,
     far_field_profile,
@@ -242,6 +244,73 @@ def test_metric_view_sample_is_antipode_closed(params):
     for p in sample[idx]:
         gap = np.abs(sample + p).max(axis=1).min()
         assert gap <= 1e-12
+
+
+def _brentq_chord_partner(norm, x, y):
+    # the reference: the far exit by a scalar root search, as chord_partner
+    # found it before every family had Norm.exits
+    def f(s):
+        return float(norm.value(y + s * x)) - 1.0
+
+    if f(1e-3) >= 0.0:
+        return None
+    s1 = brentq(f, 1e-3, 2.2, xtol=1e-13)
+    if not 1e-6 < s1 < 2.0 - 1e-6:
+        return None
+    return y + s1 * x
+
+
+def test_chord_partner_matches_brentq_reference(corpus, params):
+    worst = 0.0
+    for k, (name, norm) in enumerate(corpus.items()):
+        p = params[name]
+        rng = np.random.default_rng(300 + k)
+        xs = p.point_at(rng.uniform(0.0, p.period, 300))
+        ys = p.point_at(rng.uniform(0.0, p.period, 300))
+        found = 0
+        for x, y in zip(xs, ys):
+            z, want = chord_partner(norm, x, y), _brentq_chord_partner(norm, x, y)
+            assert (z is None) == (want is None), (name, x, y)
+            if z is not None:
+                found += 1
+                worst = max(worst, float(np.abs(z - want).max()))
+        assert found >= 80, name
+    assert worst <= 1e-12
+
+
+def test_chord_partner_rejects_chords_along_flat_edges(corpus):
+    # y on an edge of a polygonal sphere, x along it either way: the chord
+    # lies on the sphere, not inside the ball
+    probes = 0
+    for name, norm in corpus.items():
+        if norm.structure().kind != "polygonal":
+            continue
+        w = norm.structure().vertices
+        for a, b in zip(w, np.roll(w, -1, axis=0)):
+            e = (b - a) / norm.value(b - a)
+            for f in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9):
+                for x in (e, -e):
+                    probes += 1
+                    assert chord_partner(norm, x, a + f * (b - a)) is None, (name, a, b, f)
+    assert probes == 624
+
+
+def test_chord_partner_accepts_arc_chords(corpus, params):
+    # the same probes on a piecewise-arc sphere: y inside an arc, x along the
+    # chord between the arc's corners; the arc bulges, so the chord is inside
+    for name in ("lens", "sixdisk", "lens_push", "sixdisk_push"):
+        norm, p = corpus[name], params[name]
+        ts = p.corner_params()
+        for t0, t1 in zip(ts, np.append(ts[1:], ts[0] + p.period)):
+            c0, c1 = p.point_at(t0), p.point_at(t1)
+            x = (c1 - c0) / norm.value(c1 - c0)
+            for f in (0.1, 0.25):
+                y = p.point_at(t0 + f * (t1 - t0))
+                z = chord_partner(norm, x, y)
+                assert z is not None, (name, t0, f)
+                assert abs(float(norm.value(z)) - 1.0) <= 1e-14
+                assert t0 < t0 + (p.locate(z) - t0) % p.period < t1
+                assert np.abs(z - _brentq_chord_partner(norm, x, y)).max() <= 1e-12
 
 
 def test_far_profile_matches_linear_law(params):

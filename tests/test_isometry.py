@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from normplane.errors import PreconditionError
+from normplane.errors import PreconditionError, SpecError
 from normplane.norms import Hexagonal, PNorm, Pushforward
 from normplane.curves import build_natural_param, sampled_curve, unit_sphere
 from normplane.isometry import (
@@ -134,6 +134,37 @@ def test_map_spec_roundtrip(params, corpus):
     clone = map_from_spec(map_to_spec(m), m.source, m.target)
     ts = np.linspace(0.0, m.source.period, 32, endpoint=False)
     assert np.allclose(map_param(m, ts), map_param(clone, ts), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "obj, field",
+    [
+        ({"matrix": [[1, 0], [0, 1]]}, "map"),
+        ({"form": "moebius"}, "map.form"),
+        ({"form": ["linear"]}, "map.form"),
+        ({"form": "linear"}, "map.matrix"),
+        ({"form": "linear", "matrix": "identity"}, "map.matrix"),
+        ({"form": "linear", "matrix": [[math.nan, 0.0], [0.0, 1.0]]}, "map.matrix"),
+        ({"form": "linear", "matrix": [[1, 0, 0], [0, 1, 0]]}, "map.matrix"),
+        ({"form": "linear", "matrix": [[1, 2], [2, 4]]}, "map"),
+        ({"form": "param_table", "pairs": [[0, 0], [1], [2, 3]]}, "map.pairs"),
+        ({"form": "param_table", "pairs": [[0, 0], ["one", 1]]}, "map.pairs"),
+        ({"form": "param_table", "pairs": [[0, 0], [math.inf, 1]]}, "map.pairs"),
+        ({"form": "param_table", "pairs": [[0, 0], [2, 1], [1, 3]]}, "map"),
+    ],
+)
+def test_map_from_spec_validation(params, obj, field):
+    p = params["l2"]
+    with pytest.raises(SpecError) as err:
+        map_from_spec(obj, p, p)
+    assert err.value.path == field
+
+
+def test_map_from_spec_leaves_landing_to_the_harness(params):
+    # a stretch does not carry the circle onto itself; the harness says so
+    p = params["l2"]
+    m = map_from_spec({"form": "linear", "matrix": [[1.05, 0.0], [0.0, 1.0]]}, p, p)
+    assert check_isometry(m) > 1e-3
 
 
 def test_check_antipodes_needs_central_symmetry(drop):

@@ -81,9 +81,9 @@ class OrthCone:
     base_x: np.ndarray
     directions: tuple
 
-    def is_single_pair(self, tol=1e-3):
-        """True when the cone is one antipodal direction pair up to tol width."""
-        return len(self.directions) == 2 and all(hi - lo <= tol for lo, hi in self.directions)
+    def is_single_pair(self):
+        """True when the cone is one antipodal direction pair up to 1e-3 rad width."""
+        return len(self.directions) == 2 and all(hi - lo <= 1e-3 for lo, hi in self.directions)
 
     def contains(self, theta, slack=1e-9):
         t = float(theta) % TWO_PI

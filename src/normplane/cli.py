@@ -25,6 +25,7 @@ from .curves import build_natural_param, curve_from_spec, target_params, unit_sp
 from .diffdetect import (
     DELTA_GRID,
     EPS_GRID,
+    _oracle_status,
     build_metric_view,
     chord_partner,
     far_field_test,
@@ -150,8 +151,8 @@ def _nd_oracle_report(param, args):
     entries = []
     counts = {"corner": 0, "smooth": 0, "unreliable": 0}
     for t in ts:
-        status = nd_oracle(param, t, threshold=args.tol)
         info = param.side_derivative_info(t)
+        status = _oracle_status(info, args.tol)
         counts[status] += 1
         entries.append({
             "gap": float(info.gap),
@@ -226,7 +227,7 @@ _FAR_STATUS = {"differentiable": "smooth", "not_differentiable": "corner", "inco
 
 
 def _far_entry(norm, param, x, y, z, tol):
-    res = far_field_test(norm, x, y, z, slope_threshold=tol, param=param)
+    res = far_field_test(param, x, y, z, slope_threshold=tol)
     oracle = nd_oracle(param, param.locate(x), threshold=tol)
     return {
         "agreement": _agreement(_FAR_STATUS[res.verdict], oracle),

@@ -61,14 +61,15 @@ def corpus_curves():
     return {name: unit_sphere(norm) for name, norm in corpus_norms().items()}
 
 
-def drop_curve(arc_steps=3072, edge_steps=256):
+def drop_curve():
     """Boundary of the convex hull of the unit disk and the point (1, 1).
 
     The hull replaces the first-quadrant arc by the two tangent segments
     through (1, 1); the tangency points are exactly (1, 0) and (0, 1).
-    Taxicab ambient, anticlockwise, corner flagged at (1, 1) only.
+    Taxicab ambient, anticlockwise, corner flagged at (1, 1) only.  Each
+    segment has 256 sample steps, the arc 3 x 3072.
     """
-    m, k = int(edge_steps), int(arc_steps)
+    m, k = 256, 3072
     up = np.column_stack([np.ones(m), np.arange(m) / m])
     xs = 1.0 - np.arange(1, m) / m
     across = np.column_stack([xs, np.ones(m - 1)])
@@ -80,18 +81,16 @@ def drop_curve(arc_steps=3072, edge_steps=256):
     return sampled_curve(pts, smooth, ambient=PNorm(1.0))
 
 
-def double_drop_curve(radius=0.3, arc_steps=512, edge_steps=256):
-    """Boundary of the convex hull of a small disk and the points (1, 1), (-1, -1).
+def double_drop_curve():
+    """Boundary of the convex hull of the disk of radius 0.3 and the points (1, 1), (-1, -1).
 
     Centrally symmetric, with corners at both hull points.  The disk is
     small enough that (1, 1) is the strict rightmost and uppermost point
     and (-1, -1) the strict leftmost and undermost one.  Tangency points
-    solve z^2 - r^2 z + (r^4 - r^2)/2 = 0 and are placed exactly.
+    solve z^2 - r^2 z + (r^4 - r^2)/2 = 0 and are placed exactly.  Each
+    segment has 256 sample steps, each half of the arc 512.
     """
-    r = float(radius)
-    if not 0.0 < r < 1.0:
-        raise ValueError("radius must sit in (0, 1)")
-    m, k = int(edge_steps), int(arc_steps)
+    r, m, k = 0.3, 256, 512
     disc = math.sqrt(r ** 4 - 2.0 * (r ** 4 - r ** 2))
     za = (r ** 2 + disc) / 2.0
     zb = (r ** 2 - disc) / 2.0

@@ -147,7 +147,6 @@ class SideDerivatives:
     left: np.ndarray
     right: np.ndarray
     gap: float
-    reliable: bool
     exact: bool
     disagreement: float
 
@@ -215,17 +214,10 @@ class NaturalParam:
 
     @staticmethod
     def _project_polygon(verts, point):
-        nxt = np.roll(verts, -1, axis=0)
-        d = nxt - verts
-        dd = (d ** 2).sum(axis=1)
-        w = point[None, :] - verts
-        s = np.clip((w * d).sum(axis=1) / dd, 0.0, 1.0)
-        proj = verts + s[:, None] * d
-        err = np.hypot(*(proj - point[None, :]).T)
-        best = int(np.argmin(err))
-        if err[best] > 1e-7:
+        best, s, err = _nearest_edge(verts, point)
+        if err > 1e-7:
             raise PreconditionError("basepoint does not lie on the curve")
-        return best, float(s[best])
+        return best, s
 
     def _index_corners(self, pts, ts):
         corners = self._struct.corners
@@ -379,7 +371,7 @@ class NaturalParam:
             left = self._corner_in[k].copy()
             right = self._corner_out[k].copy()
             gap = float(self.ambient.value(left - right))
-            return SideDerivatives(left, right, gap, True, True, 0.0)
+            return SideDerivatives(left, right, gap, True, 0.0)
         if self._polygonal:
             return self._poly_side(tm)
         return self._fd_side(tm)
@@ -405,16 +397,16 @@ class NaturalParam:
             at_knot = (i + 1) % nseg
         if at_knot is None:
             d = self._seg_dir[i].copy()
-            return SideDerivatives(d, d.copy(), 0.0, True, True, 0.0)
+            return SideDerivatives(d, d.copy(), 0.0, True, 0.0)
         left = self._seg_dir[at_knot - 1]
         right = self._seg_dir[at_knot]
         if self.curve.kind == "sampled" and self._is_smooth_vertex(at_knot):
             # sampled stand-in for a smooth point: use the through chord
             chord = left * self._seg_len[at_knot - 1] + right * self._seg_len[at_knot]
             d = chord / self.ambient.value(chord)
-            return SideDerivatives(d.copy(), d.copy(), 0.0, True, True, 0.0)
+            return SideDerivatives(d.copy(), d.copy(), 0.0, True, 0.0)
         gap = float(self.ambient.value(left - right))
-        return SideDerivatives(left.copy(), right.copy(), gap, True, True, 0.0)
+        return SideDerivatives(left.copy(), right.copy(), gap, True, 0.0)
 
     def _is_smooth_vertex(self, knot_idx):
         p = self.knots_p[knot_idx]
@@ -435,7 +427,7 @@ class NaturalParam:
         dis = max(float(self.ambient.value(coarse_l - left)),
                   float(self.ambient.value(coarse_r - right)))
         gap = float(self.ambient.value(left - right))
-        return SideDerivatives(left, right, gap, dis <= 1e-4, False, dis)
+        return SideDerivatives(left, right, gap, False, dis)
 
 
 def build_natural_param(curve, basepoint=None, resolution=16384):
@@ -458,6 +450,27 @@ def target_params(param, uniform):
     if len(ts) > 1 and ts[0] + L - ts[-1] <= 1e-9:
         ts = ts[:-1]
     return ts
+
+
+def _nearest_edge(verts, point):
+    """(index i, fraction along, Euclidean distance) of the nearest edge verts[i] -> verts[i + 1]."""
+    nxt = np.roll(verts, -1, axis=0)
+    d = nxt - verts
+    dd = (d ** 2).sum(axis=1)
+    w = point[None, :] - verts
+    s = np.clip((w * d).sum(axis=1) / dd, 0.0, 1.0)
+    proj = verts + s[:, None] * d
+    err = np.hypot(*(proj - point[None, :]).T)
+    best = int(np.argmin(err))
+    return best, float(s[best]), float(err[best])
+
+
+def _on_curve_residual(curve, pts):
+    """Largest |norm(p) - 1| on a sphere, or Euclidean distance to a sampled polygon."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if curve.kind == "sphere":
+        return float(np.max(np.abs(curve.norm.value(pts) - 1.0)))
+    return max(_nearest_edge(curve.points, p)[2] for p in pts)
 
 
 def _as_param(obj):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _as_param, _richardson
+from .curves import _FD_STEPS, _as_param, _richardson
 from .errors import PreconditionError
 
 __all__ = [
@@ -65,7 +65,11 @@ def nd_oracle(obj, t, threshold=1e-3):
     Exact side derivatives (structure corners, polygon edges) are never
     unreliable.
     """
-    info = _as_param(obj).side_derivative_info(t)
+    return _oracle_status(_as_param(obj).side_derivative_info(t), threshold)
+
+
+def _oracle_status(info, threshold):
+    """nd_oracle's status from the side derivatives it was computed from."""
     if not info.exact and info.disagreement > threshold / 10.0:
         return "unreliable"
     if info.gap > threshold:
@@ -97,10 +101,9 @@ def corner_basis(obj, x):
     """Corner basis and certified delta at a corner point x of the curve."""
     param = _as_param(obj)
     x = np.asarray(x, dtype=float)
-    t = param.locate(x)
-    if nd_oracle(param, t) != "corner":
+    info = param.side_derivative_info(param.locate(x))
+    if _oracle_status(info, 1e-3) != "corner":
         raise PreconditionError("corner_basis requires a corner point")
-    info = param.side_derivative_info(t)
     y = info.right.copy()
     z = info.left.copy()
     a, b = np.linalg.solve(np.column_stack([y, z]), x)
@@ -196,11 +199,10 @@ def _level_chords(dist, sample, x, ax, levels, ball_sampler):
     for eps in levels:
         ends = []
         for center, d_net in sides:
-            pts = [sample[_arc_ends(d_net, eps, circular=True)]]
-            if ball_sampler is not None:
-                ball = np.atleast_2d(ball_sampler(center, eps))
-                pts.append(ball[_arc_ends(dist(ball, center), eps, circular=False)])
-            ends.append(np.concatenate(pts))
+            ball = np.atleast_2d(ball_sampler(center, eps))
+            ends.append(np.concatenate([
+                sample[_arc_ends(d_net, eps, circular=True)],
+                ball[_arc_ends(dist(ball, center), eps, circular=False)]]))
         U, V = ends
         if len(U) == 0 or len(V) == 0:
             raise PreconditionError("sample too coarse for eps = %g" % eps)
@@ -218,16 +220,16 @@ class MetricTestResult:
         return self.passed
 
 
-def metric_nd_test(dist, antipode_map, sample, x, delta, eps_grid=EPS_GRID, ball_sampler=None):
+def metric_nd_test(dist, antipode_map, sample, x, delta, eps_grid=EPS_GRID, *, ball_sampler):
     """Short-chord test at x: witnesses u near x, v near -x at every eps.
 
-    Passes iff for every eps in the grid there are sample points
-    u != x and v != -x with max(dist(u, x), dist(v, -x)) <= eps and
-    dist(u, v) <= 2 - delta*eps.  The shortest such chord is found
-    exactly by comparing the ends of the in-ball runs of the sample
-    (refined by the ball sampler when given), which needs every eps
-    below 1; all point identity checks go through dist, keeping the
-    access honestly metric-only.
+    Passes iff for every eps in the grid there are points u != x and
+    v != -x, from the sample or the ball sampler's points around x and
+    -x, with max(dist(u, x), dist(v, -x)) <= eps and dist(u, v) <=
+    2 - delta*eps.  The shortest such chord is found exactly by
+    comparing the ends of the in-ball runs, which needs every eps below
+    1; all point identity checks go through dist, keeping the access
+    honestly metric-only.
     """
     _check_eps(eps_grid)
     x = np.asarray(x, dtype=float)
@@ -241,11 +243,11 @@ def metric_nd_test(dist, antipode_map, sample, x, delta, eps_grid=EPS_GRID, ball
     return MetricTestResult(passed, tuple(transcript))
 
 
-def extended_eps_levels(eps_grid=EPS_GRID, floor=1e-3):
-    """The grid plus halvings of its finest level down to the floor."""
+def extended_eps_levels(eps_grid=EPS_GRID):
+    """The grid plus halvings of its finest level down to 1e-3."""
     levels = sorted(set(float(e) for e in eps_grid), reverse=True)
     e = levels[-1] / 2.0
-    while e >= floor:
+    while e >= 1e-3:
         levels.append(e)
         e /= 2.0
     return tuple(levels)
@@ -255,10 +257,6 @@ def extended_eps_levels(eps_grid=EPS_GRID, floor=1e-3):
 class NDEntry:
     point: np.ndarray
     status: str
-    left: np.ndarray = None
-    right: np.ndarray = None
-    gap: float = None
-    basis: CornerBasis = None
     transcript: tuple = None
 
 
@@ -271,13 +269,13 @@ class NDReport:
         return [e.status for e in self.entries]
 
 
-def _classify_point(dist, antipode_map, sample, x, delta_grid, levels, ball_sampler, noise_model):
+def _classify_point(dist, antipode_map, sample, x, delta_grid, levels, ball_sampler):
     ax = np.asarray(antipode_map(x), dtype=float)
     alive = {d: True for d in delta_grid}       # safe-passed every level so far
     safe_fail = {d: False for d in delta_grid}  # some level safely refused a witness
     transcript = []
     for eps, best, u, v in _level_chords(dist, sample, x, ax, levels, ball_sampler):
-        noise = noise_model(eps)
+        noise = _NOISE_FACTOR * eps
         transcript.append((eps, u, v, best, bool(best <= 2.0 - min(delta_grid) * eps)))
         for d in delta_grid:
             margin = (2.0 - d * eps) - best
@@ -294,30 +292,26 @@ def _classify_point(dist, antipode_map, sample, x, delta_grid, levels, ball_samp
     return "unreliable", tuple(transcript)
 
 
-def nd_classify_metric(dist, antipode_map, sample, delta_grid=None, eps_grid=None,
-                       targets=None, ball_sampler=None, noise_model=None, curve_id="curve"):
-    """Classify sphere points as corner or smooth from metric data alone.
+def nd_classify_metric(dist, antipode_map, sample, delta_grid=None, eps_grid=None, *,
+                       targets, ball_sampler, curve_id="curve"):
+    """Classify the target sphere points as corner or smooth from metric data alone.
 
     A point is a corner when some delta in the grid keeps a witness
     margin above the sampling noise at every eps level, the grid
     extended below its finest value to rule out flat-looking smooth
     points; smooth when every delta is safely refused at some level;
-    unreliable otherwise.  noise_model maps eps to the chord-length
-    slack the sampling density can hide, defaulting to the ball
-    sampler's eps/50.  Every eps level must be below 1.
+    unreliable otherwise.  The noise is the chord-length slack the ball
+    sampler's eps/100 spacing can hide, eps/50.  Every eps level must
+    be below 1.
     """
     if delta_grid is None:
         delta_grid = DELTA_GRID
     levels = extended_eps_levels(EPS_GRID if eps_grid is None else eps_grid)
     _check_eps(levels)
-    if targets is None:
-        targets = sample
-    if noise_model is None:
-        noise_model = lambda eps: _NOISE_FACTOR * eps
     entries = []
     for x in np.atleast_2d(np.asarray(targets, dtype=float)):
         status, transcript = _classify_point(dist, antipode_map, sample, x,
-                                             delta_grid, levels, ball_sampler, noise_model)
+                                             delta_grid, levels, ball_sampler)
         entries.append(NDEntry(point=x.copy(), status=status, transcript=transcript))
     return NDReport(curve_id=curve_id, entries=tuple(entries))
 
@@ -340,13 +334,20 @@ class FarFieldResult:
     disagreement: float
 
 
-def far_field_profile(norm, y, z, ts, param=None):
-    """G(t) = dist(gamma_z(t), y) along the sphere through z."""
-    if param is None:
-        param = _as_param(norm)
+def _sphere_param(obj):
+    # the far-field functions take a norm or the natural param of its sphere
+    param = _as_param(obj)
+    if param.curve.kind != "sphere":
+        raise PreconditionError("the far-field test needs the unit sphere of a norm")
+    return param
+
+
+def far_field_profile(obj, y, z, ts):
+    """G(t) = dist(gamma_z(t), y) along the sphere through z, of a norm or its param."""
+    param = _sphere_param(obj)
     y = np.asarray(y, dtype=float)
     pts = param.shift_point(np.asarray(z, dtype=float), np.asarray(ts, dtype=float))
-    return np.asarray(norm.value(pts - y[None, :]))
+    return np.asarray(param.ambient.value(pts - y[None, :]))
 
 
 def _one_sided_slope(g0, gs, hs):
@@ -369,19 +370,21 @@ def chord_partner(norm, x, y):
     return y + s * x
 
 
-def far_field_test(norm, x, y, z, h_grid=(1e-3, 1e-4, 1e-5), slope_threshold=1e-3, param=None):
+def far_field_test(obj, x, y, z, slope_threshold=1e-3):
     """One-sided slopes of G(t) = dist(gamma_z(t), y) at t = 0.
 
+    obj is a norm or the natural parameterization of its sphere.
     Requires unit x, y, z with z - y a positive multiple of x shorter
-    than 2, and z a smooth sphere point.  The verdict compares
-    extrapolated one-sided slopes: a gap above slope_threshold means
-    not_differentiable, a slope extrapolation disagreeing with itself
-    by more than slope_threshold/10 means inconclusive.  The
-    computation runs for any norm; only for strictly convex ones does
-    the verdict characterize differentiability at x.
+    than 2, and z a smooth sphere point.  The verdict compares one-sided
+    slopes at steps 1e-3, 1e-4 and 1e-5, extrapolated to step zero: a
+    gap above slope_threshold means not_differentiable, a slope
+    extrapolation disagreeing with itself by more than
+    slope_threshold/10 means inconclusive.  The computation runs for any
+    norm; only for strictly convex ones does the verdict characterize
+    differentiability at x.
     """
-    if param is None:
-        param = _as_param(norm)
+    param = _sphere_param(obj)
+    norm = param.ambient
     x = _check_unit(norm, x, "x")
     y = _check_unit(norm, y, "y")
     z = _check_unit(norm, z, "z")
@@ -394,10 +397,10 @@ def far_field_test(norm, x, y, z, h_grid=(1e-3, 1e-4, 1e-5), slope_threshold=1e-
     tz = param.locate(z)
     if param._corner_at(tz) is not None:
         raise PreconditionError("z must be a smooth point of the sphere")
-    hs = np.asarray(h_grid, dtype=float)
+    hs = np.asarray(_FD_STEPS)
     g0 = float(norm.value(z - y))
-    right, dis_r = _one_sided_slope(g0, far_field_profile(norm, y, z, hs, param), hs)
-    left, dis_l = _one_sided_slope(g0, far_field_profile(norm, y, z, -hs, param), -hs)
+    right, dis_r = _one_sided_slope(g0, far_field_profile(param, y, z, hs), hs)
+    left, dis_l = _one_sided_slope(g0, far_field_profile(param, y, z, -hs), -hs)
     disagreement = max(dis_l, dis_r)
     if disagreement > slope_threshold / 10.0:
         verdict = "inconclusive"
@@ -408,15 +411,15 @@ def far_field_test(norm, x, y, z, h_grid=(1e-3, 1e-4, 1e-5), slope_threshold=1e-
     return FarFieldResult(verdict=verdict, slope_left=left, slope_right=right, disagreement=disagreement)
 
 
-def far_slope_reference(norm, x, z, param=None):
+def far_slope_reference(obj, x, z):
     """The z2 coordinate of gamma_z'(0) in the basis {-left derivative at x, x}.
 
-    At a not_differentiable instance the left slope of G equals this
+    obj is a norm or the natural parameterization of its sphere.  At a
+    not_differentiable instance the left slope of G equals this
     coordinate, which gives an independent check on the far-field
     slopes.
     """
-    if param is None:
-        param = _as_param(norm)
+    param = _sphere_param(obj)
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     gx_left = param.side_derivative_info(param.locate(x)).left
@@ -431,21 +434,14 @@ def far_slope_reference(norm, x, z, param=None):
 
 
 def _vec(v):
-    return None if v is None else [float(v[0]), float(v[1])]
+    return [float(v[0]), float(v[1])]
 
 
 def report_to_dict(report):
-    """Plain-python dict form of an NDReport, stable under json dumps."""
+    """Plain-python dict form of an NDReport (entry keys point, status and
+    transcript), stable under json dumps."""
     entries = []
     for e in report.entries:
-        basis = None
-        if e.basis is not None:
-            basis = {
-                "delta_cert": float(e.basis.delta_cert),
-                "y": _vec(e.basis.y),
-                "z": _vec(e.basis.z),
-                "z_coords": [float(e.basis.z_coords[0]), float(e.basis.z_coords[1])],
-            }
         transcript = None
         if e.transcript is not None:
             transcript = [
@@ -453,11 +449,7 @@ def report_to_dict(report):
                 for eps, u, v, c, h in e.transcript
             ]
         entries.append({
-            "basis": basis,
-            "gap": None if e.gap is None else float(e.gap),
-            "left": _vec(e.left),
             "point": _vec(e.point),
-            "right": _vec(e.right),
             "status": e.status,
             "transcript": transcript,
         })

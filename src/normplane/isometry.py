@@ -23,9 +23,11 @@ import numpy as np
 
 from .curves import (
     _DIRS,
+    _FD_STEPS,
     ConvexCurve,
     NaturalParam,
     _as_param,
+    _on_curve_residual,
     _richardson,
     extreme_points,
     line_crossings,
@@ -69,36 +71,24 @@ class SphereMap:
     orientation: int = 1
 
 
-def _on_curve_residual(param, pts):
-    pts = np.atleast_2d(pts)
-    errs = []
-    for p in pts:
-        try:
-            q = param.point_at(param.locate(p))
-        except PreconditionError:
-            return math.inf
-        errs.append(float(param.ambient.value(q - p)))
-    return max(errs)
-
-
-def linear_map(source, target, matrix, tol=1e-6, samples=256):
-    """Build a linear-form map, checking that it lands on the target curve."""
-    src = _as_param(source)
-    tgt = _as_param(target)
+def _linear_map(source, target, matrix):
     M = np.asarray(matrix, dtype=float).reshape(2, 2)
     if abs(float(np.linalg.det(M))) <= 1e-12:
         raise PreconditionError("map matrix is singular")
-    ts = np.linspace(0.0, src.period, samples, endpoint=False)
-    img = src.point_at(ts) @ M.T
-    if tgt.curve.kind == "sphere":
-        err = float(np.max(np.abs(tgt.ambient.value(img) - 1.0)))
-    else:
-        err = _on_curve_residual(tgt, img)
-    if err > tol:
+    return SphereMap(_as_param(source), _as_param(target), "linear", matrix=M)
+
+
+def linear_map(source, target, matrix):
+    """Build a linear-form map whose images of 256 evenly spaced source
+    points lie within 1e-6 of the target curve."""
+    m = _linear_map(source, target, matrix)
+    ts = np.linspace(0.0, m.source.period, 256, endpoint=False)
+    err = _on_curve_residual(m.target.curve, m.source.point_at(ts) @ m.matrix.T)
+    if err > 1e-6:
         raise PreconditionError(
             "matrix does not carry the source curve onto the target curve "
-            "(residual %.3g > %.3g)" % (err, tol))
-    return SphereMap(src, tgt, "linear", matrix=M)
+            "(residual %.3g > 1e-06)" % err)
+    return m
 
 
 def table_map(source, target, pairs):
@@ -154,7 +144,7 @@ def map_from_spec(obj, source, target, path="map"):
         raise SpecError(field, "need a 2x2 matrix")
     try:
         if form == "linear":
-            return linear_map(source, target, arr, tol=math.inf)
+            return _linear_map(source, target, arr)
         return table_map(source, target, arr)
     except PreconditionError as exc:
         raise SpecError(path, str(exc)) from exc
@@ -230,9 +220,9 @@ def distortion_profile(m, samples=256, seed=0):
     return np.abs(dv - du)
 
 
-def check_isometry(m, samples=256, seed=0):
-    """Max distortion over the sampled pair profile."""
-    return float(np.max(distortion_profile(m, samples=samples, seed=seed)))
+def check_isometry(m):
+    """Max distortion over the default sampled pair profile."""
+    return float(np.max(distortion_profile(m)))
 
 
 def check_antipodes(m, samples=256):
@@ -243,7 +233,7 @@ def check_antipodes(m, samples=256):
     if src.curve.kind != "sphere":
         # antipodes only make sense on centrally symmetric curves
         probe = x[:: max(1, len(x) // 32)]
-        if _on_curve_residual(src, -probe) > 1e-8:
+        if _on_curve_residual(src.curve, -probe) > 1e-8:
             raise PreconditionError("source curve is not centrally symmetric")
     tx = map_point(m, x)
     tmx = map_point(m, -x)
@@ -320,11 +310,12 @@ class EquilateralResult:
     best_bound: float | None  # valid upper bound on any net triple when absent
 
 
-def _pairwise(norm, pts, block=2048):
+def _pairwise(norm, pts):
+    # in row blocks of 2048, so no n x n x 2 difference array is ever built
     n = len(pts)
     D = np.empty((n, n))
-    for i0 in range(0, n, block):
-        D[i0:i0 + block] = norm.value(pts[i0:i0 + block, None, :] - pts[None, :, :])
+    for i0 in range(0, n, 2048):
+        D[i0:i0 + 2048] = norm.value(pts[i0:i0 + 2048, None, :] - pts[None, :, :])
     return D
 
 
@@ -333,8 +324,10 @@ def _triangle_edges(A):
     return (Af @ Af) * A
 
 
-def equilateral_triples(norm, target_distance, margin, fine_spacing=1e-4,
-                        resolution=1024, max_refine=4):
+_FINE_SPACING = 1e-4  # certified absence holds on every net this fine or finer
+
+
+def equilateral_triples(norm, target_distance, margin):
     """Search a sphere net for pairwise-far triples, or certify absence.
 
     A triple counts when all three pairwise distances reach
@@ -342,16 +335,16 @@ def equilateral_triples(norm, target_distance, margin, fine_spacing=1e-4,
     moving a point along the curve by arc length d moves it by at most d
     in the ambient norm, so a net of spacing h cannot miss a curve
     triple by more than h per pairwise distance.  When the best net
-    triple stays below target - margin - 4*fine_spacing - h, no triple
-    survives on any net of spacing fine_spacing or finer.  Witness
+    triple stays below target - margin - 4*_FINE_SPACING - h, no triple
+    survives on any net of spacing _FINE_SPACING or finer.  Witness
     triples are re-verified by direct evaluation before being returned.
     """
     param = _as_param(unit_sphere(norm))
     L = param.period
     thresh = float(target_distance) - float(margin)
-    n = int(resolution)
+    n = 1024
     h = L / n
-    for _ in range(max_refine + 1):
+    for _ in range(5):  # a 1024-point net and up to 4 doublings
         ts = np.unique(np.concatenate([
             np.linspace(0.0, L, n, endpoint=False), param.corner_params()]) % L)
         pts = param.point_at(ts)
@@ -380,17 +373,17 @@ def equilateral_triples(norm, target_distance, margin, fine_spacing=1e-4,
             if triples:
                 return EquilateralResult("found", tuple(triples), tuple(dists),
                                          float(target_distance), float(margin),
-                                         h, float(fine_spacing), None)
-        cert = thresh - 4.0 * float(fine_spacing) - h
+                                         h, _FINE_SPACING, None)
+        cert = thresh - 4.0 * _FINE_SPACING - h
         Ac = D >= cert
         np.fill_diagonal(Ac, False)
         if not _triangle_edges(Ac).any():
             return EquilateralResult("certified_absent", (), (),
                                      float(target_distance), float(margin),
-                                     h, float(fine_spacing), cert + h)
+                                     h, _FINE_SPACING, cert + h)
         n *= 2
     return EquilateralResult("undetermined", (), (), float(target_distance),
-                             float(margin), h, float(fine_spacing), None)
+                             float(margin), h, _FINE_SPACING, None)
 
 
 # -- chord triples -------------------------------------------------------
@@ -543,26 +536,25 @@ def _segment_candidates(comp, c):
     return [lo, hi, mid]
 
 
-def zigzag(curve, c, a, max_iter=10000, tol=1e-6):
+def zigzag(curve, c, a):
     """Iterate toward a doubly extreme point by coordinate-sharing steps.
 
     Each step moves to the candidate point sharing a coordinate with the
     current iterate that lies closest to c in the curve's ambient norm,
     preferring the vertical line on ties.  The iteration starts from a
-    and stops once the ambient gap to c is at most tol; a first step
-    that cannot move reports the starting point as fixed.
+    and stops once the ambient gap to c is at most 1e-6 (10000 steps at
+    most); a first step that cannot move reports the starting point as fixed.
     """
     c = np.asarray(c, dtype=float).reshape(2)
     a = np.asarray(a, dtype=float).reshape(2)
-    param = _as_param(curve)
-    curve = param.curve
+    curve = _as_curve(curve)
     ext = extreme_points(curve)
     vals = _extreme_values(ext)
     hit = sum(1 for name, d in _DIRS.items()
               if float(c @ d) >= vals[name] - 1e-9)
     if hit < 2:
         raise PreconditionError("c must be extreme in two directions")
-    if _on_curve_residual(param, a) > 1e-6 or _on_curve_residual(param, c) > 1e-6:
+    if _on_curve_residual(curve, [a, c]) > 1e-6:
         raise PreconditionError("c and a must lie on the curve")
     ambient = curve.ambient
 
@@ -573,7 +565,7 @@ def zigzag(curve, c, a, max_iter=10000, tol=1e-6):
         return ZigzagResult(np.array(pts), "fixed", 0, gap)
     verdict = "not_converged"
     steps = 0
-    for n in range(int(max_iter)):
+    for n in range(10000):
         best, best_d, best_vert = None, math.inf, False
         for axis in (0, 1):
             for comp in line_crossings(curve, axis, float(cur[axis])):
@@ -590,7 +582,7 @@ def zigzag(curve, c, a, max_iter=10000, tol=1e-6):
         cur = best.copy()
         pts.append(cur)
         gap = best_d
-        if gap <= tol:
+        if gap <= 1e-6:
             verdict = "converged"
             break
     return ZigzagResult(np.array(pts), verdict, steps, float(gap))
@@ -613,7 +605,7 @@ def staircase(curve, a, n_min, n_max):
         raise PreconditionError("need n_min <= 0 <= n_max")
     a = np.asarray(a, dtype=float).reshape(2)
     param = _as_param(curve)
-    if _on_curve_residual(param, a) > 1e-6:
+    if _on_curve_residual(param.curve, a) > 1e-6:
         raise PreconditionError("a must lie on the curve")
     out = {0: a.copy()}
 
@@ -653,19 +645,19 @@ class NonDiffSample:
     flagged: np.ndarray
 
 
-def nondiff_set(curve, a, sample_resolution=360, threshold=1e-3):
+def nondiff_set(curve, a, sample_resolution=360):
     """Sampled set of points b whose distance profile kinks while sliding
     through a.
 
     For each sampled b the one-sided slopes of t -> ||gamma_a(t) - b||
     at t = 0 are estimated by Richardson extrapolation over the steps
     1e-3, 1e-4 and 1e-5; b is flagged when they disagree by more than
-    threshold.  The base point itself is part of the sample and is
+    1e-3.  The base point itself is part of the sample and is
     always flagged: its profile is |t| to leading order.
     """
     a = np.asarray(a, dtype=float).reshape(2)
     param = _as_param(curve)
-    if _on_curve_residual(param, a) > 1e-6:
+    if _on_curve_residual(param.curve, a) > 1e-6:
         raise PreconditionError("a must lie on the curve")
     norm = param.ambient
     k = max(8, int(sample_resolution))
@@ -673,7 +665,7 @@ def nondiff_set(curve, a, sample_resolution=360, threshold=1e-3):
     ts = (ta + param.period * np.arange(k) / k) % param.period
     bs = param.point_at(ts)
 
-    hs = np.array([1e-3, 1e-4, 1e-5])
+    hs = np.asarray(_FD_STEPS)
     deltas = np.concatenate([-hs, hs])
     slide = param.shift_point(a, deltas)  # (6, 2)
     G = norm.value(slide[:, None, :] - bs[None, :, :])  # (6, k)
@@ -683,5 +675,5 @@ def nondiff_set(curve, a, sample_resolution=360, threshold=1e-3):
     r_fine, _ = _richardson(right)
     l_fine, _ = _richardson(left)
     gaps = np.abs(r_fine - l_fine)
-    flagged = gaps > threshold
+    flagged = gaps > 1e-3
     return NonDiffSample(a.copy(), ts, bs, gaps, flagged)

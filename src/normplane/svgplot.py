@@ -53,18 +53,18 @@ class SvgCanvas:
             '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"%s/>'
             % (_fmt(xa), _fmt(ya), _fmt(xb), _fmt(yb), color, _fmt(width), dash))
 
-    def marker(self, p, color=MARK, radius=5.0, hollow=False):
+    def marker(self, p, color=MARK, hollow=False):
         x, y = self._xy(p)
         fill = "none" if hollow else color
         self._body.append(
-            '<circle cx="%s" cy="%s" r="%s" fill="%s" stroke="%s" stroke-width="1.5"/>'
-            % (_fmt(x), _fmt(y), _fmt(radius), fill, color))
+            '<circle cx="%s" cy="%s" r="5.0000" fill="%s" stroke="%s" stroke-width="1.5"/>'
+            % (_fmt(x), _fmt(y), fill, color))
 
-    def label(self, p, text, color="#333333", size=16):
+    def label(self, p, text):
         x, y = self._xy(p)
         self._body.append(
-            '<text x="%s" y="%s" font-family="monospace" font-size="%d" fill="%s">%s</text>'
-            % (_fmt(x), _fmt(y), int(size), color, text))
+            '<text x="%s" y="%s" font-family="monospace" font-size="16" fill="#333333">%s</text>'
+            % (_fmt(x), _fmt(y), text))
 
     def axes(self):
         h = self.half
@@ -85,14 +85,15 @@ def curve_outline(param, samples=1024):
     return param.point_at(ts)
 
 
-def draw_curve(canvas, param, color=CURVE):
-    canvas.polyline(curve_outline(param), color=color, width=2.0, closed=True)
+def draw_curve(canvas, param):
+    canvas.polyline(curve_outline(param), color=CURVE, width=2.0, closed=True)
 
 
-def canvas_for(points_list, margin=1.15):
+def canvas_for(points_list):
+    """A canvas showing every point, and at least [-1, 1]^2, with a 15 % margin."""
     extent = 1.0
     for pts in points_list:
         arr = np.atleast_2d(np.asarray(pts, dtype=float))
         if arr.size:
             extent = max(extent, float(np.abs(arr).max()))
-    return SvgCanvas(extent * margin)
+    return SvgCanvas(extent * 1.15)

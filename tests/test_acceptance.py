@@ -62,9 +62,9 @@ def test_criterion_01_far_field_blind_spot(corpus, params):
     y = np.array([1.0, 1.0 / 3.0])
     z = np.array([1.0, 2.0 / 3.0])
     ts = np.linspace(-1.0 / 3.0 + 1e-6, 1.0 / 3.0 - 1e-6, 100)
-    profile = far_field_profile(norm, y, z, ts, param=p)
+    profile = far_field_profile(p, y, z, ts)
     err = float(np.max(np.abs(profile - (1.0 / 3.0 + ts))))
-    res = far_field_test(norm, x, y, z, param=p)
+    res = far_field_test(p, x, y, z)
     oracle = nd_oracle(p, p.locate(x))
     elapsed = time.perf_counter() - t0
     ok = (err <= 1e-12 and res.verdict == "differentiable"
@@ -148,7 +148,7 @@ def test_criterion_04_far_field_on_strictly_convex(corpus, params):
             if z is None:
                 continue
             try:
-                res = far_field_test(norm, x, y, z, param=p)
+                res = far_field_test(p, x, y, z)
             except PreconditionError:
                 continue  # z landed on a corner; draw another chord
             oracle = nd_oracle(p, tx)
@@ -160,7 +160,7 @@ def test_criterion_04_far_field_on_strictly_convex(corpus, params):
                 failures.append((name, tx, res.verdict, oracle))
             if res.verdict == "not_differentiable":
                 nd_total += 1
-                ref = far_slope_reference(norm, x, z, param=p)
+                ref = far_slope_reference(p, x, z)
                 if abs(res.slope_left - ref) > 1e-4:
                     failures.append((name, tx, "slope", res.slope_left, ref))
         if resolved < 20:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from normplane.cli import main
-from normplane.curves import curve_to_spec
+from normplane.curves import NaturalParam, curve_to_spec
 
 PUSH = [[1.2, 0.4], [-0.2, 0.9]]
 
@@ -337,19 +337,41 @@ def test_repeat_runs_are_byte_identical(capsys, specs_dir, tmp_path, argv):
 def test_cli_runs_without_scipy(repo_root, child_env, tmp_path):
     # the library needs numpy only: the child makes every scipy import fail
     script = "\n".join([
-        "import sys",
+        "import json, sys",
         "sys.modules['scipy'] = None",
         "from normplane.cli import main",
-        "out = sys.argv[1]",
-        "codes = [main(['norm-eval', '--spec', 'specs/%s.json', '--vector', '3,-2', '--out', out]),"
-        "         main(['nd', '--spec', 'specs/%s.json', '--mode', 'far', '--out', out])]",
+        "codes = [main(argv + ['--out', sys.argv[2]]) for argv in json.loads(sys.argv[1])]",
         "print(codes, [m for m, mod in sys.modules.items() if m.startswith('scipy') and mod])",
     ])
-    for name in ("l2", "hexagonal"):
-        proc = subprocess.run([sys.executable, "-c", script % (name, name), str(tmp_path / "out")],
+    runs = [[["norm-eval", "--spec", "specs/%s.json" % name, "--vector", "3,-2"],
+             ["nd", "--spec", "specs/%s.json" % name, "--mode", "far"]]
+            for name in ("l2", "hexagonal")]
+    runs.append([
+        ["nd", "--spec", "specs/l2.json", "--mode", "oracle"],
+        ["iso", "--map", "specs/map_push_hexagonal.json", "--source-spec", "specs/hexagonal.json",
+         "--target-spec", "specs/hexagonal_push.json"],
+        ["plot", "--spec", "specs/drop.json", "--overlay", "zigzag:1,1:-1,0",
+         "--overlay", "staircase:0,1"]])
+    for argvs in runs:
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs), str(tmp_path / "out")],
                               capture_output=True, text=True, env=child_env(), cwd=repo_root)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0] []", (name, proc.stdout, proc.stderr)
+        assert proc.stdout.strip() == "%s []" % ([0] * len(argvs)), (argvs, proc.stdout, proc.stderr)
+
+
+def test_nd_oracle_derives_each_target_once(capsys, specs_dir, monkeypatch):
+    # the report reads its gap from the side derivatives the status came from
+    calls = []
+    side = NaturalParam.side_derivative_info
+
+    def counting(self, t):
+        calls.append(t)
+        return side(self, t)
+
+    monkeypatch.setattr(NaturalParam, "side_derivative_info", counting)
+    code, out, _ = _run(capsys, "nd", "--spec", str(specs_dir / "l2.json"), "--mode", "oracle")
+    assert code == 0
+    assert len(calls) == len(json.loads(out)["entries"]) == 360
 
 
 def test_console_entry_point(repo_root, child_env):

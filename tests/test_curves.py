@@ -10,6 +10,7 @@ from normplane import norms
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
 from normplane.curves import (
+    _on_curve_residual,
     build_natural_param,
     curve_from_spec,
     curve_to_spec,
@@ -353,6 +354,20 @@ def test_locate_point_roundtrip(params):
         back = np.array([p.locate(p.point_at(float(t))) for t in ts])
         err = np.abs((back - ts + L / 2.0) % L - L / 2.0)
         assert float(err.max()) <= 1e-7, name
+
+
+def test_on_curve_residual(corpus, drop):
+    # spheres: |norm(p) - 1|, so points normalized onto the sphere read ~0
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((64, 2))
+    for name, norm in corpus.items():
+        on = v / np.asarray(norm.value(v))[:, None]
+        assert _on_curve_residual(unit_sphere(norm), on) <= 1e-15, name
+        assert _on_curve_residual(unit_sphere(norm), on * (1 + 1e-5)) == pytest.approx(1e-5, rel=1e-6)
+    # sampled polygons: Euclidean distance to the nearest edge
+    assert _on_curve_residual(drop, [[1.0, 1.0], [0.0, -1.0], [1.0, 0.3]]) <= 1e-16
+    assert _on_curve_residual(drop, [1.0 + 5e-7, 0.5]) == pytest.approx(5e-7, abs=1e-15)
+    assert _on_curve_residual(drop, [[1.0, 0.5], [0.5, 1.0 - 2e-6]]) == pytest.approx(2e-6, abs=1e-15)
 
 
 def test_antipode_params(params):

@@ -8,7 +8,6 @@ import pytest
 from scipy.optimize import brentq
 
 from normplane.errors import PreconditionError
-from normplane.norms import Hexagonal, PNorm
 from normplane.curves import build_natural_param, unit_sphere
 from normplane.diffdetect import (
     EPS_GRID,
@@ -318,7 +317,7 @@ def test_far_profile_matches_linear_law(params):
     y = np.array([1.0, 1.0 / 3.0])
     z = np.array([1.0, 2.0 / 3.0])
     ts = np.linspace(-1.0 / 3.0 + 1e-6, 1.0 / 3.0 - 1e-6, 25)
-    G = far_field_profile(Hexagonal(), y, z, ts, param=p)
+    G = far_field_profile(p, y, z, ts)
     assert np.abs(G - (1.0 / 3.0 + ts)).max() <= 1e-12
 
 
@@ -326,8 +325,8 @@ def test_far_test_hexagon_blind_spot(params):
     # the corner at (0,1) is invisible to this far-field probe
     p = params["hexagonal"]
     x = np.array([0.0, 1.0])
-    res = far_field_test(Hexagonal(), x, np.array([1.0, 1.0 / 3.0]),
-                         np.array([1.0, 2.0 / 3.0]), param=p)
+    res = far_field_test(p, x, np.array([1.0, 1.0 / 3.0]),
+                         np.array([1.0, 2.0 / 3.0]))
     assert res.verdict == "differentiable"
     assert res.slope_left == pytest.approx(1.0, abs=1e-9)
     assert res.slope_right == pytest.approx(1.0, abs=1e-9)
@@ -336,8 +335,8 @@ def test_far_test_hexagon_blind_spot(params):
 
 def test_far_test_round_circle(params):
     p = params["l2"]
-    res = far_field_test(PNorm(2), np.array([0.0, 1.0]),
-                         np.array([0.6, -0.8]), np.array([0.6, 0.8]), param=p)
+    res = far_field_test(p, np.array([0.0, 1.0]),
+                         np.array([0.6, -0.8]), np.array([0.6, 0.8]))
     assert res.verdict == "differentiable"
 
 
@@ -349,9 +348,9 @@ def test_far_test_lens_tip_and_slope_identity(params):
     y2 = math.sqrt(1.5625 - (c + 0.5) ** 2)
     y = np.array([c, -y2])
     z = np.array([c, y2])
-    res = far_field_test(lens, tip, y, z, param=p)
+    res = far_field_test(p, tip, y, z)
     assert res.verdict == "not_differentiable"
-    ref = far_slope_reference(lens, tip, z, param=p)
+    ref = far_slope_reference(p, tip, z)
     assert res.slope_left == pytest.approx(ref, abs=1e-4)
 
 
@@ -359,14 +358,31 @@ def test_far_test_preconditions(params):
     p = params["l2"]
     with pytest.raises(PreconditionError):
         # chord not parallel to x
-        far_field_test(PNorm(2), np.array([0.0, 1.0]),
-                       np.array([0.6, -0.8]), np.array([-0.6, 0.8]), param=p)
+        far_field_test(p, np.array([0.0, 1.0]),
+                       np.array([0.6, -0.8]), np.array([-0.6, 0.8]))
     lens_p = params["lens"]
     tip = np.array([0.0, LENS_TIP_Y])
     with pytest.raises(PreconditionError):
         # z itself sits at a corner
-        far_field_test(lens_p.ambient, np.array([0.0, 1.0]) * 0 + tip,
-                       -tip, tip, param=lens_p)
+        far_field_test(lens_p, np.array([0.0, 1.0]) * 0 + tip,
+                       -tip, tip)
+
+
+def test_far_field_takes_a_norm_or_its_sphere_param(params, drop):
+    p = params["lens"]
+    tip = np.array([0.0, LENS_TIP_Y])
+    y2 = math.sqrt(1.5625 - 0.8 ** 2)
+    y, z = np.array([0.3, -y2]), np.array([0.3, y2])
+    by_param = far_field_test(p, tip, y, z)
+    by_norm = far_field_test(p.ambient, tip, y, z)
+    assert (by_norm.slope_left, by_norm.slope_right) == (by_param.slope_left, by_param.slope_right)
+    assert far_slope_reference(p.ambient, tip, z) == far_slope_reference(p, tip, z)
+    # a sampled curve has no norm of its own to measure the far field in
+    dp = build_natural_param(drop)
+    with pytest.raises(PreconditionError):
+        far_field_profile(dp, [0.0, -1.0], [1.0, 0.5], [0.0])
+    with pytest.raises(PreconditionError):
+        far_field_test(dp, [1.0, 0.0], [0.0, -1.0], [1.0, 0.5])
 
 
 def test_report_serializes(params):

@@ -7,7 +7,7 @@ import pytest
 
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import Hexagonal, PNorm, Pushforward
-from normplane.curves import build_natural_param, sampled_curve, unit_sphere
+from normplane.curves import NaturalParam, build_natural_param, sampled_curve, unit_sphere
 from normplane.isometry import (
     chord_triple,
     check_antipodes,
@@ -328,6 +328,21 @@ def test_zigzag_converges_on_drop(drop):
     assert res.iterations <= 10_000
     steps = np.diff(np.asarray(res.points), axis=0)
     assert float(steps.min()) >= -1e-12  # moves up and right only
+
+
+def test_zigzag_builds_no_natural_param(drop, monkeypatch):
+    # the on-curve checks read the curve itself, so no arc-length table is built
+    built = []
+    init = NaturalParam.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NaturalParam, "__init__", counting)
+    for a in ([-1.0, 0.0], [0.0, -1.0], [1.0, 0.5]):
+        assert zigzag(drop, np.array([1.0, 1.0]), np.array(a)).verdict == "converged"
+    assert built == []
 
 
 def test_zigzag_fixed_at_target(drop):

@@ -158,9 +158,16 @@ def build_metric_view(obj, base_spacing=None):
     def antipode_map(p):
         return -np.asarray(p, dtype=float)
 
+    located = {}  # the last two centers' parameters: a target and its antipode
+
     def ball_sampler(center, radius):
-        t0 = param.locate(np.asarray(center, dtype=float))
-        return param.point_at(t0 + (radius / 100.0) * _SAMPLER_STEPS)
+        center = np.asarray(center, dtype=float)
+        key = center.tobytes()
+        if key not in located:
+            if len(located) == 2:
+                del located[next(iter(located))]
+            located[key] = param.locate(center)
+        return param.point_at(located[key] + (radius / 100.0) * _SAMPLER_STEPS)
 
     return MetricView(sample=sample, dist=dist, antipode_map=antipode_map,
                       ball_sampler=ball_sampler, spacing=param.period / n)

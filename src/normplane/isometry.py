@@ -310,18 +310,73 @@ class EquilateralResult:
     best_bound: float | None  # valid upper bound on any net triple when absent
 
 
-def _pairwise(norm, pts):
-    # in row blocks of 2048, so no n x n x 2 difference array is ever built
-    n = len(pts)
-    D = np.empty((n, n))
-    for i0 in range(0, n, 2048):
-        D[i0:i0 + 2048] = norm.value(pts[i0:i0 + 2048, None, :] - pts[None, :, :])
-    return D
+def _farthest(norm, pts, ts, param):
+    """Offset along the net, and distance, of each net point's farthest net point.
+
+    Distance from a point rises towards its antipode and falls back, so
+    the farthest net point is a net neighbour of the antipode.
+    """
+    m = len(pts)
+    rows = np.arange(m)
+    a = np.searchsorted(ts, param.antipode_t(ts))
+    cand = np.stack([(a - 1) % m, a % m])
+    d = np.stack([norm.value(pts - pts[c]) for c in cand])
+    pick = np.argmax(d, axis=0)
+    return (cand[pick, rows] - rows) % m, d[pick, rows]
 
 
-def _triangle_edges(A):
-    Af = A.astype(np.float32)
-    return (Af @ Af) * A
+def _bisect(norm, pts, good, bad, thresh):
+    """Per row i, bisect offsets until good and bad are adjacent.
+
+    Offset good is at distance >= thresh from point i and offset bad is
+    not; the returned good offsets are the ends of the rows' runs.
+    """
+    m = len(pts)
+    rows = np.arange(m)
+    while True:
+        open_ = np.abs(good - bad) > 1
+        if not open_.any():
+            return good
+        mid = (good + bad) // 2
+        far = norm.value(pts - pts[(rows + mid) % m]) >= thresh
+        good = np.where(open_ & far, mid, good)
+        bad = np.where(open_ & ~far, mid, bad)
+
+
+def _arcs(norm, pts, farthest, thresh):
+    """(start index, member count) of each net point's run of partners at >= thresh."""
+    peak, dmax = farthest
+    m = len(pts)
+    first = _bisect(norm, pts, peak, np.zeros(m, dtype=int), thresh)
+    last = _bisect(norm, pts, peak, np.full(m, m), thresh)
+    count = np.where(dmax >= thresh, last - first + 1, 0)
+    return (np.arange(m) + first) % m, count
+
+
+def _in_triangle(norm, pts, arcs, thresh):
+    """Whether each net point is a corner of some net triangle with sides >= thresh."""
+    start, count = arcs
+    end = (start + count - 1) % len(pts)
+    return (count >= 2) & (norm.value(pts[start] - pts[end]) >= thresh)
+
+
+def _common_partners(arcs, rows):
+    """(i, j, k) with i < j, j and k in i's run and k in j's run, k the least.
+
+    Pairs come in row-major order.  The least index of two circular runs'
+    intersection is 0 or the start of one of them.
+    """
+    start, count = arcs
+    m = len(start)
+    for i in np.flatnonzero(rows):
+        js = (start[i] + np.arange(count[i])) % m
+        js = np.sort(js[js > i])
+        ks = np.stack([np.zeros_like(js), np.full_like(js, start[i]), start[js]], axis=1)
+        both = (((ks - start[i]) % m < count[i])
+                & ((ks - start[js][:, None]) % m < count[js][:, None]))
+        k = np.where(both, ks, m).min(axis=1)
+        for j, kk in zip(js[k < m], k[k < m]):
+            yield int(i), int(j), int(kk)
 
 
 _FINE_SPACING = 1e-4  # certified absence holds on every net this fine or finer
@@ -338,6 +393,31 @@ def equilateral_triples(norm, target_distance, margin):
     triple stays below target - margin - 4*_FINE_SPACING - h, no triple
     survives on any net of spacing _FINE_SPACING or finer.  Witness
     triples are re-verified by direct evaluation before being returned.
+
+    The net search keeps O(n) memory and O(n log n) distances per net.
+    Along the curve, the distance from a net point x_i does not decrease
+    from x_i to -x_i and does not increase back to x_i (the monotonicity
+    lemma of normed planes).  So its partners at distance >= thresh form
+    one circular run of net indices around its farthest net point, a net
+    neighbour of the antipode, and bisection outwards from there finds
+    both run ends.  The monotonicity is not strict: a flat stretch, such
+    as a facing edge of linf or hexagonal at distance exactly 2, lies
+    inside the run or outside it as a whole, and a tie between the two
+    neighbours of the antipode picks a point of the same run either way.
+    The offset from x_i runs from 1 to n - 1, so a run never contains x_i
+    and may wrap through index 0.
+
+    If some triangle contains x_i, then (x_i, s_i, e_i) is one, where s_i
+    and e_i are the first and last point of x_i's run.  For a triangle
+    (i, j, k), with j met before k going round from i, the run of x_k
+    holds i and j but not k, so it holds the stretch from i to j, on
+    which s_i lies; so (i, s_i, k) is a triangle, and the mirrored
+    argument with s_i in place of j puts e_i in the run of s_i.  A run
+    with fewer than 2 members therefore holds no triangle, and one
+    distance per row decides whether any triangle exists, at thresh and
+    at the certificate's level alike.  Witnesses come from the rows that
+    pass: pairs i < j in row-major order, j in i's run, and k the least
+    index in both runs.
     """
     param = _as_param(unit_sphere(norm))
     L = param.period
@@ -349,16 +429,13 @@ def equilateral_triples(norm, target_distance, margin):
             np.linspace(0.0, L, n, endpoint=False), param.corner_params()]) % L)
         pts = param.point_at(ts)
         h = L / n  # merged corners only refine the net further
-        D = _pairwise(norm, pts)
-        A = D >= thresh
-        np.fill_diagonal(A, False)
-        common = _triangle_edges(A)
-        if common.any():
+        farthest = _farthest(norm, pts, ts, param)
+        arcs = _arcs(norm, pts, farthest, thresh)
+        rows = _in_triangle(norm, pts, arcs, thresh)
+        if rows.any():
             triples, dists = [], []
-            ii, jj = np.nonzero(np.triu(common, 1))
-            for i, j in zip(ii, jj):
-                k = int(np.nonzero(A[i] & A[j])[0][0])
-                key = tuple(sorted((int(i), int(j), k)))
+            for i, j, k in _common_partners(arcs, rows):
+                key = tuple(sorted((i, j, k)))
                 tri = pts[list(key)]
                 realized = float(min(
                     norm.value(tri[0] - tri[1]),
@@ -375,9 +452,7 @@ def equilateral_triples(norm, target_distance, margin):
                                          float(target_distance), float(margin),
                                          h, _FINE_SPACING, None)
         cert = thresh - 4.0 * _FINE_SPACING - h
-        Ac = D >= cert
-        np.fill_diagonal(Ac, False)
-        if not _triangle_edges(Ac).any():
+        if not _in_triangle(norm, pts, _arcs(norm, pts, farthest, cert), cert).any():
             return EquilateralResult("certified_absent", (), (),
                                      float(target_distance), float(margin),
                                      h, _FINE_SPACING, cert + h)

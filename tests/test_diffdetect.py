@@ -212,6 +212,25 @@ def test_metric_route_compares_run_ends_only(params):
     assert pairs[0] <= 2 * len(view.sample) + 2 * 211 * levels_run + 256 * levels_run
 
 
+def test_ball_sampler_locates_each_center_once(corpus, monkeypatch):
+    # a target and its antipode are located once each, not once per level
+    param = build_natural_param(unit_sphere(corpus["l3_push"]))
+    view = _view(param)
+    calls = [0]
+    locate = param.locate
+
+    def counting(point):
+        calls[0] += 1
+        return locate(point)
+
+    monkeypatch.setattr(param, "locate", counting)
+    targets = param.point_at(np.array([0.3, 1.1, 2.5]))
+    rep = nd_classify_metric(view.dist, view.antipode_map, view.sample,
+                             targets=targets, ball_sampler=view.ball_sampler)
+    assert min(len(e.transcript) for e in rep.entries) > 2
+    assert calls[0] == 2 * len(targets)
+
+
 def test_metric_route_needs_eps_below_one(params):
     # at eps >= 1 the arcs around x and -x meet and run ends are not enough
     view = _view(params["l2"])

@@ -1,14 +1,25 @@
 """Isometry harness: map checks, fits, rule-outs and the curve dynamics."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from normplane.corpus import corpus_norms
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import Hexagonal, PNorm, Pushforward
-from normplane.curves import NaturalParam, build_natural_param, sampled_curve, unit_sphere
+from normplane.curves import (
+    NaturalParam,
+    _as_param,
+    build_natural_param,
+    sampled_curve,
+    unit_sphere,
+)
 from normplane.isometry import (
+    _FINE_SPACING,
+    EquilateralResult,
     chord_triple,
     check_antipodes,
     check_isometry,
@@ -232,6 +243,125 @@ def test_equilateral_certified_absent_on_circle(corpus):
     assert res.status == "certified_absent"
     assert res.fine_spacing <= 1e-4
     assert res.best_bound < 2.0 - 1e-3
+
+
+def _pairwise(norm, pts):
+    # in row blocks of 2048, so no n x n x 2 difference array is ever built
+    n = len(pts)
+    D = np.empty((n, n))
+    for i0 in range(0, n, 2048):
+        D[i0:i0 + 2048] = norm.value(pts[i0:i0 + 2048, None, :] - pts[None, :, :])
+    return D
+
+
+def _triangle_edges(A):
+    Af = A.astype(np.float32)
+    return (Af @ Af) * A
+
+
+def _dense_equilateral_triples(norm, target_distance, margin):
+    """Reference: the same net search over the full n x n distance matrix.
+
+    It reads every pair of net points, so it stops with an error rather
+    than build a net finer than 2048 points.
+    """
+    param = _as_param(unit_sphere(norm))
+    L = param.period
+    thresh = float(target_distance) - float(margin)
+    n = 1024
+    h = L / n
+    for _ in range(5):
+        assert n <= 2048, "case refines past the dense reference's reach"
+        ts = np.unique(np.concatenate([
+            np.linspace(0.0, L, n, endpoint=False), param.corner_params()]) % L)
+        pts = param.point_at(ts)
+        h = L / n
+        D = _pairwise(norm, pts)
+        A = D >= thresh
+        np.fill_diagonal(A, False)
+        common = _triangle_edges(A)
+        if common.any():
+            triples, dists = [], []
+            ii, jj = np.nonzero(np.triu(common, 1))
+            for i, j in zip(ii, jj):
+                k = int(np.nonzero(A[i] & A[j])[0][0])
+                key = tuple(sorted((int(i), int(j), k)))
+                tri = pts[list(key)]
+                realized = float(min(
+                    norm.value(tri[0] - tri[1]),
+                    norm.value(tri[0] - tri[2]),
+                    norm.value(tri[1] - tri[2])))
+                if realized >= thresh and not any(
+                        np.allclose(tri, t) for t in triples):
+                    triples.append(tri)
+                    dists.append(realized)
+                if len(triples) >= 8:
+                    break
+            if triples:
+                return EquilateralResult("found", tuple(triples), tuple(dists),
+                                         float(target_distance), float(margin),
+                                         h, _FINE_SPACING, None)
+        cert = thresh - 4.0 * _FINE_SPACING - h
+        Ac = D >= cert
+        np.fill_diagonal(Ac, False)
+        if not _triangle_edges(Ac).any():
+            return EquilateralResult("certified_absent", (), (),
+                                     float(target_distance), float(margin),
+                                     h, _FINE_SPACING, cert + h)
+        n *= 2
+    return EquilateralResult("undetermined", (), (), float(target_distance),
+                             float(margin), h, _FINE_SPACING, None)
+
+
+SQRT3 = math.sqrt(3.0)
+# every corpus sphere at four targets, the benchmark's pinning cases and
+# criterion 08's cases
+_TRIPLE_CASES = list(dict.fromkeys(
+    [(name, target, 1e-6) for name in corpus_norms() for target in (1.5, 1.75, 1.9, 2.0)]
+    + [("l2", SQRT3 + 0.004, 1e-6), ("l2", SQRT3 - 0.01, 1e-6),
+       ("l2_push", SQRT3 + 0.02, 1e-6), ("l2_push", SQRT3 - 0.01, 1e-6),
+       ("linf", 2.0, 1e-6), ("hexagonal", 2.0, 1e-6), ("l2", 2.0, 1e-3)]))
+
+
+@pytest.mark.parametrize("name,target,margin", _TRIPLE_CASES)
+def test_arc_search_matches_dense_reference(corpus, name, target, margin):
+    got = equilateral_triples(corpus[name], target, margin)
+    want = _dense_equilateral_triples(corpus[name], target, margin)
+    assert got.status == want.status
+    assert [np.asarray(t).tobytes() for t in got.triples] == \
+        [np.asarray(t).tobytes() for t in want.triples]
+    assert got.distances == want.distances
+    assert got.net_spacing == want.net_spacing
+    assert got.best_bound == want.best_bound
+
+
+def test_arc_search_certifies_absence_in_linear_memory(corpus, params):
+    # the dense search needed 1.41 GB for this net of 8192 points
+    tracemalloc.start()
+    try:
+        res = equilateral_triples(corpus["l2"], SQRT3 + 0.001, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "certified_absent"
+    assert res.net_spacing == params["l2"].period / 8192
+    assert peak < 100e6
+
+
+def test_arc_search_reaches_the_finest_net_in_bounded_time(corpus, params):
+    """l2 at sqrt(3) + 5e-4 is undetermined on a 16384-point net, within 10 s.
+
+    Undetermined is the right status: no equilateral triple on the circle
+    has sides above sqrt(3), but the certificate's slack,
+    4 * fine_spacing + h = 4e-4 + 3.8e-4 on the finest net, exceeds the
+    5e-4 gap, so no net the search builds can certify the absence.
+    """
+    t0 = time.perf_counter()
+    res = equilateral_triples(corpus["l2"], SQRT3 + 0.0005, 1e-6)
+    elapsed = time.perf_counter() - t0
+    assert res.status == "undetermined"
+    assert res.net_spacing == params["l2"].period / 16384
+    assert elapsed < 10.0
 
 
 # -- chord triples -------------------------------------------------------

@@ -490,7 +490,7 @@ def _overlay_prims(name, rest, norm, param):
         parts = [p for p in rest.split(",") if p] if rest else []
         target = float(parts[0]) if parts else 2.0
         margin = float(parts[1]) if len(parts) > 1 else 1e-3
-        res = equilateral_triples(norm, target, margin)
+        res = equilateral_triples(param, target, margin)
         for triple in res.triples:
             tri = np.asarray(triple, dtype=float)
             prims.append(("poly", np.vstack([tri, tri[:1]]), CHORD, False))

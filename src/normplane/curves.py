@@ -9,9 +9,11 @@ basepoint.
 Polygonal curves are handled exactly: breakpoints are the vertices,
 segments are linear, and side derivatives come straight from edge
 directions.  Smooth and piecewise-arc spheres go through an angle table
-plus exact local arc stepping, because finite differences taken against
-an interpolation table would drown in table noise long before reaching
-the tolerances the detectors need.
+plus local arc stepping, because finite differences taken against an
+interpolation table would drown in table noise long before reaching the
+tolerances the detectors need.  A step seeds its angle from the table and
+takes Newton steps on a chord sum fine enough for finite differences;
+`NaturalParam.shift_point` states its accuracy.
 """
 
 from __future__ import annotations
@@ -158,16 +160,22 @@ class ExtremeSet:
 
 
 _FD_STEPS = (1e-3, 1e-4, 1e-5)
+_SUB_STEPS = np.linspace(0.0, 1.0, 65)  # 64 sub-chords: 1e-3 steps err 5e-9 relative (16: 6e-8)
+_NEWTON_STEPS = 2  # from the table's 1e-8 rad seed, one reaches 1e-11 on 1e-3 steps, two rounding
 
 
-def _richardson(d):
-    """Extrapolate difference quotients d[0..2], taken at steps shrinking
-    tenfold, to step zero; returns (fine, coarse) from the last and first pair.
+def _one_sided(f0, ahead, behind):
+    """Right and left derivatives of f at zero, each as a pair (fine, coarse).
 
-    Both remove the first-order error term; their difference measures
-    how far the extrapolation disagrees with itself.
+    ahead and behind stack f's samples at +_FD_STEPS and -_FD_STEPS on
+    axis 0, and f0 is f(0).  fine and coarse extrapolate the difference
+    quotients of the last and of the first two steps to step zero; both
+    remove the first-order error term, and their difference measures how
+    far the extrapolation disagrees with itself.
     """
-    return (10.0 * d[2] - d[1]) / 9.0, (10.0 * d[1] - d[0]) / 9.0
+    hs = np.reshape(_FD_STEPS, (-1,) + (1,) * np.ndim(f0))
+    return tuple(((10.0 * d[2] - d[1]) / 9.0, (10.0 * d[1] - d[0]) / 9.0)
+                 for d in ((ahead - f0) / hs, (f0 - behind) / hs))
 
 
 class NaturalParam:
@@ -272,11 +280,6 @@ class NaturalParam:
         self.corner_ts = self.knots_t[np.asarray(keep, dtype=int)] if keep else np.zeros(0)
         self._corner_in = self._struct.corner_in[order_by_rel] if len(corners) else np.zeros((0, 2))
         self._corner_out = self._struct.corner_out[order_by_rel] if len(corners) else np.zeros((0, 2))
-        self._corner_phis_abs = corner_phis
-        with np.errstate(divide="ignore", invalid="ignore"):
-            speeds = seg / np.diff(self._rel)
-        good = speeds[np.isfinite(speeds) & (speeds > 0)]
-        self._speed_floor = float(good.min()) * 0.8 if len(good) else 0.1
 
     # -- shared interface --------------------------------------------------
 
@@ -311,56 +314,48 @@ class NaturalParam:
     def corner_params(self):
         return self.corner_ts.copy()
 
-    # exact local stepping: curve points at signed arc displacements
+    # local stepping: curve points at signed arc displacements
 
     def shift_point(self, anchor, deltas):
+        """Curve points at signed arc lengths `deltas` from the curve point anchor.
+
+        Polygons step exactly along their edges.  On other spheres the
+        arc-length table seeds each polar angle, and _NEWTON_STEPS Newton
+        steps with the secant slope solve arc(anchor's angle, angle) =
+        delta, where arc is the chord sum over 64 equal angle steps
+        (_SUB_STEPS) and every table knot in between, corners among them.
+        On the corpus spheres the arc from the anchor to each returned
+        point, measured by a fine chord sum, is within 1e-8 |delta| + 1e-14
+        of delta for |delta| <= 1e-3 and within 5e-8 for |delta| <= 0.6;
+        next to l1_5's axis points and their images on l1_5_push, where the
+        curvature is unbounded, within 1e-6 |delta| + 1e-14 and 5e-7.
+        """
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
         if self._polygonal:
-            ta = self.locate(anchor)
-            return self.point_at(ta + deltas)
-        phi0 = math.atan2(anchor[1], anchor[0])
-        phis = self._advance(phi0, deltas)
-        return self.curve.norm.unit_point(phis)
+            return self.point_at(self.locate(anchor) + deltas)
+        r0 = (math.atan2(anchor[1], anchor[0]) - self._phi_b) % TWO_PI
+        t = np.interp(r0, self._rel, self.knots_t) + deltas
+        turns = np.floor(t / self.period)
+        span = np.interp(t - turns * self.period, self.knots_t, self._rel) + turns * TWO_PI - r0
+        for _ in range(_NEWTON_STEPS):
+            arc = self._chord_arc(r0, span)
+            span = span * np.divide(deltas, arc, out=np.zeros_like(arc), where=arc != 0.0)
+        return self.curve.norm.unit_point(self._phi_b + r0 + span)
 
-    def _window_grid(self, phi0, psi):
-        grid = phi0 + np.linspace(-psi, psi, 4097)
-        extra = [np.asarray([phi0])]
-        for k in (-2, -1, 0, 1, 2):
-            cand = self._corner_phis_abs + k * TWO_PI
-            sel = cand[(cand > phi0 - psi) & (cand < phi0 + psi)]
-            if len(sel):
-                extra.append(sel)
-        grid = np.unique(np.concatenate([grid] + extra))
-        keep = np.concatenate([[True], np.diff(grid) > 1e-13])
-        grid = grid[keep]
-        i0 = int(np.argmin(np.abs(grid - phi0)))
-        return grid, i0
-
-    def _advance(self, phi0, deltas):
-        dmax = float(np.abs(deltas).max())
-        if dmax == 0.0:
-            return np.full(len(deltas), phi0)
-        norm = self.curve.norm
-        psi = min(dmax / self._speed_floor * 1.3 + 1e-9, 3.0)
-        for _ in range(8):
-            grid, i0 = self._window_grid(phi0, psi)
-            pts = norm.unit_point(grid)
-            seg = np.asarray(self.ambient.value(np.diff(pts, axis=0)))
-            cum = np.concatenate([[0.0], np.cumsum(seg)])
-            cum = cum - cum[i0]
-            if cum[-1] >= dmax * 1.02 and -cum[0] >= dmax * 1.02:
-                break
-            psi = min(psi * 2.0, 3.1)
-        j = np.clip(np.searchsorted(cum, deltas, side="right") - 1, 0, len(grid) - 2)
-        slope = (cum[j + 1] - cum[j]) / (grid[j + 1] - grid[j])
-        phi = grid[j] + (deltas - cum[j]) / slope
-        for _ in range(2):
-            frac = np.linspace(0.0, 1.0, 17)
-            sub = grid[j][:, None] + (phi - grid[j])[:, None] * frac[None, :]
-            sp = norm.unit_point(sub)
-            small = np.asarray(self.ambient.value(np.diff(sp, axis=1))).sum(axis=1)
-            phi = phi - (small - (deltas - cum[j])) / slope
-        return phi
+    def _chord_arc(self, r0, span):
+        """Signed arc length from table angle r0 to each r0 + span, as a chord sum."""
+        lo, hi = r0 + np.minimum(span, 0.0), r0 + np.maximum(span, 0.0)
+        # the table knots between the lowest and highest angle, unwrapped
+        n = len(self._rel) - 1
+        first, stop = (int(math.floor(x / TWO_PI)) * n + int(np.searchsorted(self._rel[:-1], x % TWO_PI))
+                       for x in (lo.min(), hi.max()))
+        m = np.arange(first, stop)
+        knots = self._rel[m % n] + TWO_PI * (m // n)
+        grid = np.concatenate([r0 + span[:, None] * _SUB_STEPS,
+                               np.clip(knots, lo[:, None], hi[:, None])], axis=1)
+        grid.sort(axis=1)
+        pts = self.curve.norm.unit_point(self._phi_b + grid)
+        return np.copysign(np.asarray(self.ambient.value(np.diff(pts, axis=1))).sum(axis=1), span)
 
     # side derivatives
 
@@ -417,13 +412,8 @@ class NaturalParam:
 
     def _fd_side(self, tm):
         anchor = self.point_at(tm)
-        hs = np.asarray(_FD_STEPS)
-        deltas = np.concatenate([hs, -hs])
-        pts = self.shift_point(anchor, deltas)
-        dr = (pts[:3] - anchor[None, :]) / hs[:, None]
-        dl = (anchor[None, :] - pts[3:]) / hs[:, None]
-        right, coarse_r = _richardson(dr)
-        left, coarse_l = _richardson(dl)
+        pts = self.shift_point(anchor, np.concatenate([_FD_STEPS, np.negative(_FD_STEPS)]))
+        (right, coarse_r), (left, coarse_l) = _one_sided(anchor, pts[:3], pts[3:])
         dis = max(float(self.ambient.value(coarse_l - left)),
                   float(self.ambient.value(coarse_r - right)))
         gap = float(self.ambient.value(left - right))
@@ -478,6 +468,14 @@ def _as_param(obj):
     if isinstance(obj, NaturalParam):
         return obj
     return build_natural_param(obj)
+
+
+def _sphere_param(obj, what):
+    """_as_param of a norm or of its sphere's param; refuses other curves."""
+    param = _as_param(obj)
+    if param.curve.kind != "sphere":
+        raise PreconditionError("%s needs the unit sphere of a norm" % what)
+    return param
 
 
 _DIRS = {"E": np.array([1.0, 0.0]), "N": np.array([0.0, 1.0]),

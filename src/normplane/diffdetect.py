@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _FD_STEPS, _as_param, _richardson
+from .curves import _FD_STEPS, _as_param, _one_sided, _sphere_param
 from .errors import PreconditionError
 
 __all__ = [
@@ -341,26 +341,12 @@ class FarFieldResult:
     disagreement: float
 
 
-def _sphere_param(obj):
-    # the far-field functions take a norm or the natural param of its sphere
-    param = _as_param(obj)
-    if param.curve.kind != "sphere":
-        raise PreconditionError("the far-field test needs the unit sphere of a norm")
-    return param
-
-
 def far_field_profile(obj, y, z, ts):
     """G(t) = dist(gamma_z(t), y) along the sphere through z, of a norm or its param."""
-    param = _sphere_param(obj)
+    param = _sphere_param(obj, "the far-field test")
     y = np.asarray(y, dtype=float)
     pts = param.shift_point(np.asarray(z, dtype=float), np.asarray(ts, dtype=float))
     return np.asarray(param.ambient.value(pts - y[None, :]))
-
-
-def _one_sided_slope(g0, gs, hs):
-    d = (gs - g0) / hs
-    fine, coarse = _richardson(d)
-    return float(fine), abs(float(coarse - fine))
 
 
 def chord_partner(norm, x, y):
@@ -390,7 +376,7 @@ def far_field_test(obj, x, y, z, slope_threshold=1e-3):
     norm; only for strictly convex ones does the verdict characterize
     differentiability at x.
     """
-    param = _sphere_param(obj)
+    param = _sphere_param(obj, "the far-field test")
     norm = param.ambient
     x = _check_unit(norm, x, "x")
     y = _check_unit(norm, y, "y")
@@ -406,9 +392,10 @@ def far_field_test(obj, x, y, z, slope_threshold=1e-3):
         raise PreconditionError("z must be a smooth point of the sphere")
     hs = np.asarray(_FD_STEPS)
     g0 = float(norm.value(z - y))
-    right, dis_r = _one_sided_slope(g0, far_field_profile(param, y, z, hs), hs)
-    left, dis_l = _one_sided_slope(g0, far_field_profile(param, y, z, -hs), -hs)
-    disagreement = max(dis_l, dis_r)
+    (right, coarse_r), (left, coarse_l) = _one_sided(
+        g0, far_field_profile(param, y, z, hs), far_field_profile(param, y, z, -hs))
+    right, left = float(right), float(left)
+    disagreement = max(abs(float(coarse_l) - left), abs(float(coarse_r) - right))
     if disagreement > slope_threshold / 10.0:
         verdict = "inconclusive"
     elif abs(right - left) > slope_threshold:
@@ -426,7 +413,7 @@ def far_slope_reference(obj, x, z):
     coordinate, which gives an independent check on the far-field
     slopes.
     """
-    param = _sphere_param(obj)
+    param = _sphere_param(obj, "the far-field test")
     x = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     gx_left = param.side_derivative_info(param.locate(x)).left

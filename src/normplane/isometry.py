@@ -28,7 +28,8 @@ from .curves import (
     NaturalParam,
     _as_param,
     _on_curve_residual,
-    _richardson,
+    _one_sided,
+    _sphere_param,
     extreme_points,
     line_crossings,
     unit_sphere,
@@ -229,14 +230,14 @@ def check_antipodes(m, samples=256):
     """Max over sampled x of the target-norm size of tau(-x) + tau(x)."""
     src = m.source
     ts = np.linspace(0.0, src.period, max(8, int(samples)), endpoint=False)
-    x = src.point_at(ts)
     if src.curve.kind != "sphere":
         # antipodes only make sense on centrally symmetric curves
-        probe = x[:: max(1, len(x) // 32)]
+        probe = src.point_at(ts[:: max(1, len(ts) // 32)])
         if _on_curve_residual(src.curve, -probe) > 1e-8:
             raise PreconditionError("source curve is not centrally symmetric")
-    tx = map_point(m, x)
-    tmx = map_point(m, -x)
+    # -gamma(t) = gamma(t + L/2) on a centrally symmetric curve
+    tx = map_param(m, ts)
+    tmx = map_param(m, src.antipode_t(ts))
     return float(np.max(m.target.ambient.value(tx + tmx)))
 
 
@@ -382,8 +383,10 @@ def _common_partners(arcs, rows):
 _FINE_SPACING = 1e-4  # certified absence holds on every net this fine or finer
 
 
-def equilateral_triples(norm, target_distance, margin):
+def equilateral_triples(obj, target_distance, margin):
     """Search a sphere net for pairwise-far triples, or certify absence.
+
+    obj is a norm or the natural parameterization of its sphere.
 
     A triple counts when all three pairwise distances reach
     target_distance - margin.  Absence is certified through the net:
@@ -419,7 +422,8 @@ def equilateral_triples(norm, target_distance, margin):
     pass: pairs i < j in row-major order, j in i's run, and k the least
     index in both runs.
     """
-    param = _as_param(unit_sphere(norm))
+    param = _sphere_param(obj, "equilateral_triples")
+    norm = param.ambient
     L = param.period
     thresh = float(target_distance) - float(margin)
     n = 1024
@@ -741,14 +745,9 @@ def nondiff_set(curve, a, sample_resolution=360):
     bs = param.point_at(ts)
 
     hs = np.asarray(_FD_STEPS)
-    deltas = np.concatenate([-hs, hs])
-    slide = param.shift_point(a, deltas)  # (6, 2)
+    slide = param.shift_point(a, np.concatenate([-hs, hs]))  # (6, 2)
     G = norm.value(slide[:, None, :] - bs[None, :, :])  # (6, k)
-    G0 = norm.value(a - bs)
-    right = (G[3:6] - G0) / hs[:, None]
-    left = (G0 - G[0:3]) / hs[:, None]
-    r_fine, _ = _richardson(right)
-    l_fine, _ = _richardson(left)
+    (r_fine, _), (l_fine, _) = _one_sided(norm.value(a - bs), G[3:6], G[0:3])
     gaps = np.abs(r_fine - l_fine)
     flagged = gaps > 1e-3
     return NonDiffSample(a.copy(), ts, bs, gaps, flagged)

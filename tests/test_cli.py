@@ -306,6 +306,22 @@ def test_plot_unknown_overlay_exit_2(capsys, specs_dir):
     assert code == 2 and "unknown overlay" in err
 
 
+def test_plot_triples_builds_one_natural_param(capsys, specs_dir, monkeypatch):
+    # the triples overlay searches the arc-length table the plot already built
+    built = []
+    init = NaturalParam.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(NaturalParam, "__init__", counting)
+    code, out, _ = _run(capsys, "plot", "--spec", str(specs_dir / "l2.json"),
+                        "--overlay", "triples:1.7,1e-6")
+    assert code == 0 and out.startswith("<svg")
+    assert built == [1]
+
+
 # -- determinism ---------------------------------------------------------
 
 

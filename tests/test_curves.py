@@ -7,9 +7,12 @@ import pytest
 from scipy.optimize import brentq
 
 from normplane import norms
+from normplane.diffdetect import _oracle_status
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
+from normplane.corpus import PUSH_MATRIX
 from normplane.curves import (
+    NaturalParam,
     _on_curve_residual,
     build_natural_param,
     curve_from_spec,
@@ -481,6 +484,138 @@ def test_arc_length_table_matches_fresh_measurement(params, corpus):
             arc = arc_length_between(corpus[name], pts[k], pts[k + 1])
             assert arc == pytest.approx(ts[k + 1] - ts[k], abs=1e-6), name
             assert arc == pytest.approx((located[k + 1] - located[k]) % p.period, abs=1e-6), name
+
+
+# -- arc stepping: the window search it replaced, kept as the reference ----
+
+CURVED = ("l1_5", "l2", "l3", "lens", "sixdisk",
+          "l1_5_push", "l2_push", "l3_push", "lens_push", "sixdisk_push")
+
+
+def _window_grid(corner_phis, phi0, psi):
+    grid = phi0 + np.linspace(-psi, psi, 4097)
+    extra = [np.asarray([phi0])]
+    for k in (-2, -1, 0, 1, 2):
+        cand = corner_phis + k * 2.0 * math.pi
+        sel = cand[(cand > phi0 - psi) & (cand < phi0 + psi)]
+        if len(sel):
+            extra.append(sel)
+    grid = np.unique(np.concatenate([grid] + extra))
+    keep = np.concatenate([[True], np.diff(grid) > 1e-13])
+    grid = grid[keep]
+    i0 = int(np.argmin(np.abs(grid - phi0)))
+    return grid, i0
+
+
+def _window_shift_point(p, anchor, deltas):
+    """shift_point of a sphere by a 4097-angle window around the anchor.
+
+    The window grows until it covers the steps, the cumulative chord sum
+    is inverted on it, and two rounds on a 17-point grid refine each
+    angle.  Its speed floor bounds the window's first width.
+    """
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    norm = p.curve.norm
+    corners = p._struct.corners
+    corner_phis = np.arctan2(corners[:, 1], corners[:, 0]) if len(corners) else np.zeros(0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        speeds = p._seg_len / np.diff(p._rel)
+    good = speeds[np.isfinite(speeds) & (speeds > 0)]
+    speed_floor = float(good.min()) * 0.8 if len(good) else 0.1
+    phi0 = math.atan2(anchor[1], anchor[0])
+    dmax = float(np.abs(deltas).max())
+    if dmax == 0.0:
+        return norm.unit_point(np.full(len(deltas), phi0))
+    psi = min(dmax / speed_floor * 1.3 + 1e-9, 3.0)
+    for _ in range(8):
+        grid, i0 = _window_grid(corner_phis, phi0, psi)
+        pts = norm.unit_point(grid)
+        seg = np.asarray(p.ambient.value(np.diff(pts, axis=0)))
+        cum = np.concatenate([[0.0], np.cumsum(seg)])
+        cum = cum - cum[i0]
+        if cum[-1] >= dmax * 1.02 and -cum[0] >= dmax * 1.02:
+            break
+        psi = min(psi * 2.0, 3.1)
+    j = np.clip(np.searchsorted(cum, deltas, side="right") - 1, 0, len(grid) - 2)
+    slope = (cum[j + 1] - cum[j]) / (grid[j + 1] - grid[j])
+    phi = grid[j] + (deltas - cum[j]) / slope
+    for _ in range(2):
+        frac = np.linspace(0.0, 1.0, 17)
+        sub = grid[j][:, None] + (phi - grid[j])[:, None] * frac[None, :]
+        sp = norm.unit_point(sub)
+        small = np.asarray(p.ambient.value(np.diff(sp, axis=1))).sum(axis=1)
+        phi = phi - (small - (deltas - cum[j])) / slope
+    return norm.unit_point(phi)
+
+
+@pytest.mark.parametrize("name", CURVED)
+def test_oracle_matches_window_reference(params, name, monkeypatch):
+    # 400 parameters per sphere, and 5e-4 and 2e-3 to either side of each corner
+    p = params[name]
+    ts = np.concatenate([np.arange(400) * (p.period / 400)]
+                        + [c + np.array([-2e-3, -5e-4, 5e-4, 2e-3]) for c in p.corner_params()])
+    got = [p.side_derivative_info(float(t)) for t in ts]
+    monkeypatch.setattr(NaturalParam, "shift_point", _window_shift_point)
+    want = [p.side_derivative_info(float(t)) for t in ts]
+    # chord sums converge slowly next to l1_5's axis points, where the curvature is infinite
+    tol = 1e-7 if name.startswith("l1_5") else 1e-9
+    for t, a, b in zip(ts, got, want):
+        assert _oracle_status(a, 1e-3) == _oracle_status(b, 1e-3), (name, t)
+        assert float(np.abs(np.concatenate([a.left - b.left, a.right - b.right])).max()) <= tol, (name, t)
+
+
+def _fine_arc(norm, pa, pb, sign, n):
+    # signed arc from pa to pb, anticlockwise for sign > 0: a chord sum over
+    # n equal angle steps with the corners as extra knots
+    phi_a = math.atan2(pa[1], pa[0])
+    span = (math.atan2(pb[1], pb[0]) - phi_a) % (2.0 * math.pi)
+    lo, hi = (0.0, span) if sign > 0 else (span - 2.0 * math.pi, 0.0)
+    corners = norm.structure().corners
+    cuts = np.mod(np.arctan2(corners[:, 1], corners[:, 0]) - phi_a - lo, 2.0 * math.pi) + lo
+    grid = np.sort(np.concatenate([np.linspace(lo, hi, n + 1), cuts[cuts < hi]]))
+    pts = norm.unit_point(phi_a + grid)
+    return math.copysign(float(np.asarray(norm.value(np.diff(pts, axis=0))).sum()), sign)
+
+
+def test_shift_point_accuracy(params, corpus):
+    # the bounds of NaturalParam.shift_point's docstring, at random anchors,
+    # beside corners and at the axis points and their images under the
+    # corpus shear, where l1_5 and l1_5_push have infinite curvature
+    assert {n for n, p in params.items() if not p._polygonal} == set(CURVED)
+    rng = np.random.default_rng(41)
+    dirs = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    dirs = np.concatenate([dirs, dirs @ PUSH_MATRIX.T])
+    for name in CURVED:
+        p, norm = params[name], corpus[name]
+        rel, floor = (1e-6, 5e-7) if name.startswith("l1_5") else (1e-8, 5e-8)
+        ts = np.concatenate([rng.uniform(0.0, p.period, 3), p.corner_params()[:2] + 3e-4,
+                             [p.locate(d / norm.value(d)) - 2e-6 for d in dirs]])
+        for anchor in p.point_at(ts):
+            for d in (1e-3, -1e-4, 1e-5, -1e-5):
+                q = p.shift_point(anchor, d)[0]
+                assert abs(_fine_arc(norm, anchor, q, d, 4096) - d) <= rel * abs(d) + 1e-14, (name, d)
+            for d in (0.6, -0.3):
+                q = p.shift_point(anchor, d)[0]
+                assert abs(_fine_arc(norm, anchor, q, d, 2 ** 14) - d) <= floor, (name, d)
+
+
+def test_side_derivatives_cost_under_a_quarter_window(params, monkeypatch):
+    # the window search evaluated 4097 angles and more per call; seeded
+    # Newton stepping evaluates about 850
+    rows = []
+    unit_point = Norm.unit_point
+
+    def counting(self, theta):
+        rows.append(np.size(theta))
+        return unit_point(self, theta)
+
+    monkeypatch.setattr(Norm, "unit_point", counting)
+    for name in CURVED:
+        p = params[name]
+        for t in np.linspace(0.0, p.period, 7, endpoint=False):
+            rows.clear()
+            p.side_derivative_info(float(t) + 0.01)
+            assert 0 < sum(rows) <= 4097 // 4, name
 
 
 def test_drop_curve_shape(drop):

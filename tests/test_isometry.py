@@ -335,6 +335,19 @@ def test_arc_search_matches_dense_reference(corpus, name, target, margin):
     assert got.best_bound == want.best_bound
 
 
+def test_equilateral_triples_reads_a_prebuilt_param(params, corpus, drop):
+    # a sphere's param gives its norm's result bit for bit; other curves are refused
+    for name, target in (("l2", SQRT3 + 0.004), ("hexagonal", 2.0), ("sixdisk_push", 1.9)):
+        got = equilateral_triples(params[name], target, 1e-6)
+        want = equilateral_triples(corpus[name], target, 1e-6)
+        assert (got.status, got.distances, got.net_spacing, got.best_bound) == \
+            (want.status, want.distances, want.net_spacing, want.best_bound)
+        assert [np.asarray(t).tobytes() for t in got.triples] == \
+            [np.asarray(t).tobytes() for t in want.triples]
+    with pytest.raises(PreconditionError):
+        equilateral_triples(build_natural_param(drop), 2.0, 1e-3)
+
+
 def test_arc_search_certifies_absence_in_linear_memory(corpus, params):
     # the dense search needed 1.41 GB for this net of 8192 points
     tracemalloc.start()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SpecError
-from .norms import Norm, SphereStructure, cross2, norm_from_spec
+from .norms import Norm, SphereStructure, _computed_once, cross2, norm_from_spec
 
 TWO_PI = 2.0 * math.pi
 
@@ -76,6 +76,33 @@ class ConvexCurve:
         if self.kind == "sampled":
             return True
         return self.norm.structure().kind == "polygonal"
+
+    @_computed_once
+    def _edges(self):
+        """A polygonal curve's vertices indexed for `_nearest_edge`."""
+        return _polygon_edges(_polygon_vertices(self))
+
+    @_computed_once
+    def _extremes(self):
+        """The dict `extreme_points` returns a copy of."""
+        out = {}
+        if self.is_polygonal:
+            verts = _polygon_vertices(self)
+            for name, d in _DIRS.items():
+                vals = verts @ d
+                m = vals.max()
+                sel = verts[vals >= m - 1e-9]
+                if len(sel) == 1:
+                    out[name] = ExtremeSet(sel.copy(), False)
+                else:
+                    perp = sel @ np.array([-d[1], d[0]])
+                    order = np.argsort(perp)  # anticlockwise traversal ascends the perp coordinate
+                    out[name] = ExtremeSet(sel[[order[0], order[-1]]], True)
+            return out
+        # spheres that are not polygons are strictly convex here: one support point each
+        for name, p in zip(_DIRS, self.norm.axis_extremes()):
+            out[name] = ExtremeSet(p[None, :].copy(), False)
+        return out
 
 
 def unit_sphere(norm):
@@ -202,7 +229,7 @@ class NaturalParam:
             basepoint = verts[0].copy()
         else:
             basepoint = np.asarray(basepoint, dtype=float)
-        ei, frac = self._project_polygon(verts, basepoint)
+        ei, frac = self._project_polygon(self.curve._edges(), basepoint)
         n = len(verts)
         cycle = verts[(ei + 1 + np.arange(n)) % n]
         if frac <= 1e-12:
@@ -218,11 +245,12 @@ class NaturalParam:
         self.knots_t = np.concatenate([[0.0], np.cumsum(self._seg_len)])
         self.period = float(self.knots_t[-1])
         self.basepoint = self.knots_p[0].copy()
+        self._knot_edges = _polygon_edges(self.knots_p[:-1])
         self._index_corners(self.knots_p[:-1], self.knots_t[:-1])
 
     @staticmethod
-    def _project_polygon(verts, point):
-        best, s, err = _nearest_edge(verts, point)
+    def _project_polygon(edges, point):
+        best, s, err = _nearest_edge(edges, point)
         if err > 1e-7:
             raise PreconditionError("basepoint does not lie on the curve")
         return best, s
@@ -300,7 +328,7 @@ class NaturalParam:
         """Parameter of a point lying on the curve."""
         point = np.asarray(point, dtype=float)
         if self._polygonal:
-            ei, frac = self._project_polygon(self.knots_p[:-1], point)
+            ei, frac = self._project_polygon(self._knot_edges, point)
             return float((self.knots_t[ei] + frac * self._seg_len[ei]) % self.period)
         if abs(float(self.ambient.value(point)) - 1.0) > 1e-6:
             raise PreconditionError("point does not lie on the unit sphere")
@@ -442,17 +470,62 @@ def target_params(param, uniform):
     return ts
 
 
-def _nearest_edge(verts, point):
-    """(index i, fraction along, Euclidean distance) of the nearest edge verts[i] -> verts[i + 1]."""
-    nxt = np.roll(verts, -1, axis=0)
-    d = nxt - verts
+@dataclass(frozen=True, eq=False)
+class _PolygonEdges:
+    """A convex polygon's vertices and their polar angles about an interior point."""
+
+    verts: np.ndarray
+    center: np.ndarray
+    angles: np.ndarray  # ascending, from angles[0] to less than one turn beyond
+    tol: float  # farther than this from every edge is off the polygon
+
+
+_EDGE_WINDOW = 2  # edges scored on either side of the one a point's angle falls on
+
+
+def _polygon_edges(verts):
+    """_PolygonEdges of anticlockwise vertices: polar angles about their mean."""
+    verts = np.array(verts, dtype=float)
+    center = verts.mean(axis=0)
+    ang = np.arctan2(verts[:, 1] - center[1], verts[:, 0] - center[0])
+    angles = ang[0] + np.mod(ang - ang[0], TWO_PI)
+    return _PolygonEdges(verts, center, angles, 1e-12 * max(1.0, float(np.abs(verts).max())))
+
+
+def _score_edges(verts, idx, point):
+    """(index i, fraction along, Euclidean distance) of the nearest edge
+    verts[i] -> verts[i + 1] among idx, the first of ties in idx's order."""
+    a = verts[idx]
+    d = verts[(idx + 1) % len(verts)] - a
     dd = (d ** 2).sum(axis=1)
-    w = point[None, :] - verts
+    w = point[None, :] - a
     s = np.clip((w * d).sum(axis=1) / dd, 0.0, 1.0)
-    proj = verts + s[:, None] * d
+    proj = a + s[:, None] * d
     err = np.hypot(*(proj - point[None, :]).T)
     best = int(np.argmin(err))
-    return best, float(s[best]), float(err[best])
+    return int(idx[best]), float(s[best]), float(err[best])
+
+
+def _nearest_edge(edges, point):
+    """(index i, fraction along, Euclidean distance) of the nearest edge verts[i] -> verts[i + 1].
+
+    A point on the polygon lies on the edge its polar angle about
+    edges.center falls on, found by binary search in edges.angles, or
+    within rounding of it on a neighbour.  That edge and _EDGE_WINDOW
+    edges on either side are scored in ascending index order, so ties
+    break as over all edges.  Only a point farther than edges.tol from
+    all of them, a point off the polygon, has every edge scored.
+    """
+    verts = edges.verts
+    n = len(verts)
+    phi = math.atan2(point[1] - edges.center[1], point[0] - edges.center[0])
+    phi = edges.angles[0] + (phi - edges.angles[0]) % TWO_PI
+    k = int(np.searchsorted(edges.angles, phi, side="right")) - 1
+    idx = np.sort((k + np.arange(-_EDGE_WINDOW, _EDGE_WINDOW + 1)) % n)
+    found = _score_edges(verts, idx, point)
+    if found[2] <= edges.tol:
+        return found
+    return _score_edges(verts, np.arange(n), point)
 
 
 def _on_curve_residual(curve, pts):
@@ -460,7 +533,8 @@ def _on_curve_residual(curve, pts):
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if curve.kind == "sphere":
         return float(np.max(np.abs(curve.norm.value(pts) - 1.0)))
-    return max(_nearest_edge(curve.points, p)[2] for p in pts)
+    edges = curve._edges()
+    return max(_nearest_edge(edges, p)[2] for p in pts)
 
 
 def _as_param(obj):
@@ -493,25 +567,9 @@ def extreme_points(curve):
 
     Returns a dict keyed by "E", "N", "W", "S".  Each entry is a single
     point or the two endpoints of an extreme edge, ordered by traversal.
+    The sets are computed once per curve and their arrays are read-only.
     """
-    out = {}
-    if curve.is_polygonal:
-        verts = _polygon_vertices(curve)
-        for name, d in _DIRS.items():
-            vals = verts @ d
-            m = vals.max()
-            sel = verts[vals >= m - 1e-9]
-            if len(sel) == 1:
-                out[name] = ExtremeSet(sel.copy(), False)
-            else:
-                perp = sel @ np.array([-d[1], d[0]])
-                order = np.argsort(perp)  # anticlockwise traversal ascends the perp coordinate
-                out[name] = ExtremeSet(sel[[order[0], order[-1]]], True)
-        return out
-    # spheres that are not polygons are strictly convex here: one support point each
-    for name, p in zip(_DIRS, curve.norm.axis_extremes()):
-        out[name] = ExtremeSet(p[None, :].copy(), False)
-    return out
+    return dict(curve._extremes())
 
 
 def line_crossings(curve, axis, val):

@@ -55,11 +55,12 @@ def _as_batch(v):
 
 
 def _computed_once(method):
-    """Cache a norm's sphere geometry on the instance, its arrays read-only.
+    """Cache an immutable object's geometry on the instance, its arrays read-only.
 
-    method takes no argument besides the norm and returns an array or a
-    SphereStructure.  Norms are immutable, so the result is too; callers
-    that need to change an array must copy it.
+    method takes no argument besides the norm or curve and returns an
+    array, a dataclass such as SphereStructure, or a dict of dataclasses.
+    The instance is immutable, so the result is too; callers that need to
+    change an array must copy it.
     """
     key = "_" + method.__name__
 
@@ -68,10 +69,11 @@ def _computed_once(method):
         out = self.__dict__.get(key)
         if out is None:
             out = method(self)
-            arrays = [out] if isinstance(out, np.ndarray) else vars(out).values()
-            for arr in arrays:
-                if isinstance(arr, np.ndarray):
-                    arr.flags.writeable = False
+            for part in out.values() if isinstance(out, dict) else [out]:
+                arrays = [part] if isinstance(part, np.ndarray) else vars(part).values()
+                for arr in arrays:
+                    if isinstance(arr, np.ndarray):
+                        arr.flags.writeable = False
             self.__dict__[key] = out
         return out
 

@@ -10,9 +10,11 @@ from normplane import norms
 from normplane.diffdetect import _oracle_status
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
-from normplane.corpus import PUSH_MATRIX
+from normplane.corpus import PUSH_MATRIX, drop_curve
+from normplane import curves
 from normplane.curves import (
     NaturalParam,
+    _nearest_edge,
     _on_curve_residual,
     build_natural_param,
     curve_from_spec,
@@ -371,6 +373,95 @@ def test_on_curve_residual(corpus, drop):
     assert _on_curve_residual(drop, [[1.0, 1.0], [0.0, -1.0], [1.0, 0.3]]) <= 1e-16
     assert _on_curve_residual(drop, [1.0 + 5e-7, 0.5]) == pytest.approx(5e-7, abs=1e-15)
     assert _on_curve_residual(drop, [[1.0, 0.5], [0.5, 1.0 - 2e-6]]) == pytest.approx(2e-6, abs=1e-15)
+
+
+def _dense_nearest_edges(verts, pts):
+    """(index, fraction, distance) of the nearest edge to each point, every edge scored.
+
+    The former per-point pass, in the same float operations, run on 16
+    points at a time; it is the reference the angle search must reproduce
+    exactly.
+    """
+    vx, vy = verts[:, 0], verts[:, 1]
+    d = np.roll(verts, -1, axis=0) - verts
+    dx, dy = d[:, 0], d[:, 1]
+    dd = dx * dx + dy * dy
+    out = []
+    for chunk in np.split(pts, np.arange(16, len(pts), 16)):
+        px, py = chunk[:, :1], chunk[:, 1:]
+        s = (px - vx) * dx
+        s += (py - vy) * dy
+        s /= dd
+        np.clip(s, 0.0, 1.0, out=s)
+        err = np.hypot(s * dx + vx - px, s * dy + vy - py)
+        best = np.argmin(err, axis=1)
+        rows = np.arange(len(chunk))
+        out.extend(zip(best.tolist(), s[rows, best].tolist(), err[rows, best].tolist()))
+    return out
+
+
+def _coarse_polygon():
+    ang = 0.3 + 2.0 * math.pi * np.arange(7) / 7.0
+    return sampled_curve(np.column_stack([1.3 * np.cos(ang), 0.8 * np.sin(ang)]),
+                         ambient=PNorm(2.0))
+
+
+def _edge_probes(verts, rng):
+    """Vertices, edge midpoints, 2000 seeded on-edge points, and points 1e-3
+    inside and outside, pushed along each sampled edge's outer normal."""
+    n = len(verts)
+    nxt = np.roll(verts, -1, axis=0)
+    i = rng.integers(0, n, size=2000)
+    u = rng.uniform(0.0, 1.0, size=2000)
+    on = verts[i] + u[:, None] * (nxt[i] - verts[i])
+    d = nxt[i] - verts[i]
+    normal = np.column_stack([d[:, 1], -d[:, 0]]) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    return np.concatenate([verts, 0.5 * (verts + nxt), on,
+                           on[:200] - 1e-3 * normal[:200], on[:200] + 1e-3 * normal[:200]])
+
+
+def test_nearest_edge_matches_every_edge_pass(drop, double_drop):
+    rng = np.random.default_rng(17)
+    for curve in (drop, double_drop, _coarse_polygon()):
+        edges = curve._edges()
+        probes = _edge_probes(curve.points, rng)
+        for p, want in zip(probes, _dense_nearest_edges(curve.points, probes)):
+            assert _nearest_edge(edges, p) == want, tuple(p)
+
+
+def test_on_curve_queries_score_a_window_of_edges(drop, monkeypatch):
+    # on-curve locate and residual queries never reach the pass over all edges
+    scored = []
+    score = curves._score_edges
+
+    def counting(verts, idx, point):
+        scored.append(len(idx))
+        return score(verts, idx, point)
+
+    param = build_natural_param(drop)
+    pts = param.point_at(np.linspace(0.0, param.period, 97, endpoint=False))
+    monkeypatch.setattr(curves, "_score_edges", counting)
+    for p in pts:
+        param.locate(p)
+    assert _on_curve_residual(drop, pts) <= 1e-15
+    assert len(scored) == 2 * len(pts)
+    assert max(scored) == 2 * curves._EDGE_WINDOW + 1
+    # a point off the curve does score every edge
+    _on_curve_residual(drop, [[0.5, 0.5]])
+    assert scored[-1] == len(drop.points)
+
+
+def test_extreme_points_computed_once_and_read_only():
+    curve = drop_curve()
+    first = extreme_points(curve)
+    second = extreme_points(curve)
+    assert second is not first  # callers get their own dict of the shared sets
+    for name, es in first.items():
+        assert second[name] is es, name
+        assert not es.points.flags.writeable, name
+        with pytest.raises(ValueError):
+            es.points[0, 0] = 0.0
+    assert np.allclose(first["E"].points, [[1.0, 0.0], [1.0, 1.0]])
 
 
 def test_antipode_params(params):

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from normplane import isometry
 from normplane.corpus import corpus_norms
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import Hexagonal, PNorm, Pushforward
@@ -450,6 +451,72 @@ def test_chord_triple_corpus_and_mirror(params, drop):
             for p, q in ((u, mu), (v, mv), (w, mw)):
                 assert np.allclose(p, MIRROR @ q, rtol=0.0, atol=1e-9), name
             assert mt == pytest.approx(t, abs=1e-9), name
+
+
+@pytest.mark.parametrize("offset", [1e-5, 1e-7])
+def test_chord_triple_near_the_axes(params, drop, offset):
+    # both sides of each of the four axis directions; t is read from x's
+    # dominant coordinate, and from the other one it was off by up to 6e-6
+    angles = np.add.outer(np.arange(4) * math.pi / 2.0, [-offset, offset]).ravel()
+    for name, param in dict(params, drop=build_natural_param(drop)).items():
+        for x in np.column_stack([np.cos(angles), np.sin(angles)]):
+            u, v, w, t = chord_triple(param, x)
+            assert t != 0.0, (name, tuple(x))
+            assert float(param.ambient.value(u - v - t * x)) <= 1e-9, (name, tuple(x))
+            assert abs(w[0] - u[0]) <= 1e-9 and abs(w[1] - v[1]) <= 1e-9, (name, tuple(x))
+
+
+def _halving(gap, g0):
+    # the reference search: halve "gap > 0" over [0, 1] down to adjacent floats
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_chord_triple_search_matches_halving(params, drop, monkeypatch):
+    """The bracketing search finds the halving's box in about a third of the boxes.
+
+    Boxes are counted as pairs of line crossings.  The reference's count
+    leaves out gap(0), which chord_triple takes for the search and halving
+    never reads.
+    """
+    crossings = []
+    cross = isometry.line_crossings
+
+    def counting(curve, axis, val):
+        crossings.append(1)
+        return cross(curve, axis, val)
+
+    monkeypatch.setattr(isometry, "line_crossings", counting)
+    search = isometry._last_flatter
+
+    def run(flip, param, x):
+        monkeypatch.setattr(isometry, "_last_flatter", flip)
+        crossings.clear()
+        out = chord_triple(param, x)
+        return out, len(crossings) // 2
+
+    rng = np.random.default_rng(29)
+    boxes = []
+    for name, param in dict(params, drop=build_natural_param(drop)).items():
+        for k in range(8):  # two seeded directions per quadrant
+            th = (k % 4 + rng.uniform(0.02, 0.98)) * math.pi / 2.0
+            x = np.array([math.cos(th), math.sin(th)])
+            (u, v, w, t), n = run(search, param, x)
+            ref, n_ref = run(_halving, param, x)
+            for got, want in zip((u, v, w, t), ref):
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12), (name, tuple(x))
+            assert float(param.ambient.value(u - v - t * x)) <= 1e-9, (name, tuple(x))
+            assert abs(w[0] - u[0]) <= 1e-9 and abs(w[1] - v[1]) <= 1e-9, (name, tuple(x))
+            assert n <= n_ref - 1 + 8, (name, tuple(x), n, n_ref)
+            boxes.append(n)
+    assert float(np.median(boxes)) <= 20.0
 
 
 def test_chord_triple_needs_distinct_extremes(double_drop):

@@ -14,6 +14,7 @@ report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -66,9 +67,8 @@ def _read_json(path):
         raise InputError("%s is not valid JSON: %s" % (path, exc)) from exc
 
 
-def _load_plane(path):
-    """(norm, param) from a spec file; norm is None for sampled curves."""
-    obj = _read_json(path)
+def _plane(obj, path):
+    """(norm, param) from the parsed JSON of a spec file; norm is None for sampled curves."""
     if not isinstance(obj, dict):
         raise InputError("%s: expected a JSON object" % path)
     if "family" in obj:
@@ -312,7 +312,7 @@ def _nd_text(payload):
 
 
 def cmd_nd(args):
-    norm, param = _load_plane(args.spec)
+    norm, param = _plane(_read_json(args.spec), args.spec)
     if args.mode == "oracle":
         if args.resolution is None:
             args.resolution = 360
@@ -351,8 +351,14 @@ def _independent_param(param):
 
 
 def cmd_iso(args):
-    src_norm, src = _load_plane(args.source_spec)
-    _, tgt = _load_plane(args.target_spec)
+    src_obj = _read_json(args.source_spec)
+    src_norm, src = _plane(src_obj, args.source_spec)
+    tgt_obj = _read_json(args.target_spec)
+    # equal specs share one plane; their JSON text tells true from 1, which == does not
+    if tgt_obj == src_obj and _json_text(tgt_obj) == _json_text(src_obj):
+        tgt = src
+    else:
+        _, tgt = _plane(tgt_obj, args.target_spec)
     m = map_from_spec(_read_json(args.map), src, tgt, path=args.map)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     for c in checks:
@@ -506,10 +512,10 @@ def _overlay_prims(name, rest, norm, param):
 
 
 def cmd_plot(args):
-    norm, param = _load_plane(args.spec)
+    norm, param = _plane(_read_json(args.spec), args.spec)
     outline = curve_outline(param, samples=args.resolution)
     prims, extent = [], [outline]
-    for spec in args.overlay:
+    for spec in args.overlay or ():
         name, _, rest = spec.partition(":")
         p, e = _overlay_prims(name.strip(), rest, norm, param)
         prims.extend(p)
@@ -543,6 +549,7 @@ def _grid_arg(what):
     return parse
 
 
+@functools.cache
 def build_parser():
     ap = argparse.ArgumentParser(prog="normplane",
                                  description="computational laboratory for normed planes")
@@ -588,7 +595,7 @@ def build_parser():
 
     pp = sub.add_parser("plot", help="draw a curve with overlays to SVG")
     pp.add_argument("--spec", required=True, help="norm or curve spec JSON path")
-    pp.add_argument("--overlay", action="append", default=[],
+    pp.add_argument("--overlay", action="append", default=None,
                     help="nd_points | orth_cone:x,y | zigzag:cx,cy:ax,ay | "
                          "staircase:ax,ay | triples[:target[,margin]]")
     pp.add_argument("--resolution", type=int, default=1024, help="outline sample count")

@@ -206,17 +206,38 @@ def _one_sided(f0, ahead, behind):
 
 
 class NaturalParam:
-    """Arc-length parameterization of a convex curve in its ambient norm."""
+    """Arc-length parameterization of a convex curve in its ambient norm.
+
+    A given basepoint is checked at construction: one off the curve
+    raises PreconditionError there.  The table itself (the knots, the
+    period and the corners) is built on the first read of any of them,
+    so a param that is never read costs no norm evaluation beyond that
+    check.
+    """
 
     def __init__(self, curve, basepoint=None, resolution=16384):
         self.curve = curve
         self.ambient = curve.ambient
-        self._struct = curve.structure()
-        self._polygonal = curve.kind == "sampled" or self._struct.kind == "polygonal"
+        if basepoint is not None:
+            basepoint = np.asarray(basepoint, dtype=float)
+            if curve.is_polygonal:
+                self._project_polygon(curve._edges(), basepoint)
+            elif abs(float(curve.norm.value(basepoint)) - 1.0) > 1e-6:
+                raise PreconditionError("basepoint does not lie on the unit sphere")
+        self._pending = (basepoint, resolution)
+
+    def __getattr__(self, name):
+        # only reached for an attribute not yet set: build the table once, then read it
+        pending = None if name.startswith("__") else self.__dict__.pop("_pending", None)
+        if pending is None:
+            raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
+        self._struct = self.curve.structure()
+        self._polygonal = self.curve.kind == "sampled" or self._struct.kind == "polygonal"
         if self._polygonal:
-            self._build_polygon(basepoint)
+            self._build_polygon(pending[0])
         else:
-            self._build_table(basepoint, resolution)
+            self._build_table(*pending)
+        return getattr(self, name)
 
     # -- polygon machinery -------------------------------------------------
 
@@ -227,8 +248,6 @@ class NaturalParam:
             verts = self._struct.vertices
         if basepoint is None:
             basepoint = verts[0].copy()
-        else:
-            basepoint = np.asarray(basepoint, dtype=float)
         ei, frac = self._project_polygon(self.curve._edges(), basepoint)
         n = len(verts)
         cycle = verts[(ei + 1 + np.arange(n)) % n]
@@ -276,10 +295,6 @@ class NaturalParam:
         norm = self.curve.norm
         if basepoint is None:
             basepoint = norm.unit_point(0.0)
-        else:
-            basepoint = np.asarray(basepoint, dtype=float)
-            if abs(float(norm.value(basepoint)) - 1.0) > 1e-6:
-                raise PreconditionError("basepoint does not lie on the unit sphere")
         phi_b = math.atan2(basepoint[1], basepoint[0])
         corners = self._struct.corners
         corner_phis = np.arctan2(corners[:, 1], corners[:, 0]) if len(corners) else np.zeros(0)

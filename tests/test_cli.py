@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from normplane.cli import main
+from normplane.cli import build_parser, main
 from normplane.curves import NaturalParam, curve_to_spec
 
 PUSH = [[1.2, 0.4], [-0.2, 0.9]]
@@ -279,6 +279,36 @@ def test_iso_text_format_mentions_histogram(capsys, specs_dir):
     assert out.rstrip().endswith("verdict: pass")
 
 
+@pytest.mark.parametrize(
+    "mp, source, target, tables",
+    [
+        ("map_push_hexagonal.json", "hexagonal.json", "hexagonal_push.json", 1),  # linear: no target table
+        ("map_identity.json", "lens.json", "lens.json", 1),
+        ("table", "lens.json", "lens.json", 1),  # equal specs share one plane
+        ("table", "lens.json", "l2.json", 2),
+    ],
+)
+def test_iso_builds_only_the_tables_it_reads(capsys, specs_dir, tmp_path, monkeypatch,
+                                             mp, source, target, tables):
+    if mp == "table":
+        t = np.linspace(0.0, 6.0, 16, endpoint=False)
+        mp = _write(tmp_path, "table.json", {"form": "param_table",
+                                              "pairs": np.column_stack([t, t]).tolist()})
+    else:
+        mp = str(specs_dir / mp)
+    built = []
+    for method in ("_build_table", "_build_polygon"):
+        def counting(self, *args, _orig=getattr(NaturalParam, method)):
+            built.append(1)
+            return _orig(self, *args)
+        monkeypatch.setattr(NaturalParam, method, counting)
+    code, out, _ = _run(capsys, "iso", "--map", mp, "--source-spec", str(specs_dir / source),
+                        "--target-spec", str(specs_dir / target),
+                        "--checks", "distortion,antipodes,linear,affine")
+    assert code in (0, 3) and json.loads(out)["command"] == "iso"
+    assert len(built) == tables
+
+
 # -- plot ----------------------------------------------------------------
 
 
@@ -348,6 +378,29 @@ def test_repeat_runs_are_byte_identical(capsys, specs_dir, tmp_path, argv):
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
     assert len(outs[0]) > 0
+
+
+def test_shared_parser_is_stateless(capsys, specs_dir):
+    # one parser serves every call: each command reads as it does on a fresh parser
+    hexa, l2 = str(specs_dir / "hexagonal.json"), str(specs_dir / "l2.json")
+    runs = [
+        ["plot", "--spec", hexa, "--overlay", "nd_points", "--overlay", "orth_cone:0,1"],
+        ["plot", "--spec", hexa, "--overlay", "nd_points"],
+        ["iso", "--map", str(specs_dir / "map_identity.json"), "--source-spec", l2,
+         "--target-spec", l2],
+        ["plot", "--spec", hexa, "--bogus"],
+        ["nd", "--spec", l2, "--mode", "oracle", "--resolution", "12"],
+        ["plot", "--spec", hexa],
+    ]
+    alone = []
+    for argv in runs:
+        build_parser.cache_clear()
+        alone.append(_run(capsys, *argv))
+    build_parser.cache_clear()
+    assert [_run(capsys, *argv) for argv in runs] == alone
+    assert build_parser() is build_parser()
+    assert [code for code, _, _ in alone] == [0, 0, 0, 2, 0, 0]
+    assert len({out for _, out, _ in alone[:2] + alone[-1:]}) == 3
 
 
 def test_cli_runs_without_scipy(repo_root, child_env, tmp_path):

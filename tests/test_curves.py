@@ -10,7 +10,7 @@ from normplane import norms
 from normplane.diffdetect import _oracle_status
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
-from normplane.corpus import PUSH_MATRIX, drop_curve
+from normplane.corpus import PUSH_MATRIX, corpus_norms, double_drop_curve, drop_curve
 from normplane import curves
 from normplane.curves import (
     NaturalParam,
@@ -778,3 +778,79 @@ def test_sampled_curve_rejects_nonconvex():
     pts = [(1, 0), (0, 1), (0.1, 0.1), (-1, 0), (0, -1)]
     with pytest.raises((SpecError, PreconditionError)):
         sampled_curve(pts)
+
+
+# -- lazy tables -----------------------------------------------------------
+
+
+LAZY_CURVES = {name: unit_sphere(n) for name, n in corpus_norms().items()}
+LAZY_CURVES.update(drop=drop_curve(), double_drop=double_drop_curve())
+
+# first reads of a fresh param; e is a param read right after construction
+FIRST_READS = {
+    "period": lambda p, e: p.period,
+    "point_at": lambda p, e: p.point_at(np.array([0.1, 1.3, 2.9, 7.7])),
+    "locate": lambda p, e: p.locate(e.point_at(0.7)),
+    "shift_point": lambda p, e: p.shift_point(e.point_at(1.1), [1e-3, -0.2]),
+    "side_derivative_info": lambda p, e: vars(p.side_derivative_info(0.9)),
+}
+
+
+def _same(a, b):
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("given", [False, True])
+@pytest.mark.parametrize("name", sorted(LAZY_CURVES))
+def test_lazy_param_equals_eager(name, given):
+    # whichever read builds the table, knots, corners and outputs are bit for bit those
+    # of a param read right after construction
+    curve = LAZY_CURVES[name]
+    basepoint = NaturalParam(curve).point_at(1.0) if given else None
+    eager = NaturalParam(curve, basepoint)
+    eager.knots_t  # builds the table now
+    for read, first in FIRST_READS.items():
+        lazy = NaturalParam(curve, basepoint)
+        assert _same(first(lazy, eager), first(eager, eager)), (name, read)
+        for attr in ("knots_t", "knots_p", "period", "corner_ts"):
+            assert _same(getattr(lazy, attr), getattr(eager, attr)), (name, read, attr)
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CURVES))
+def test_unread_param_evaluates_no_norm(name, monkeypatch):
+    # construction evaluates the norm only to check a given basepoint
+    curve = LAZY_CURVES[name]
+    basepoint = NaturalParam(curve).point_at(1.0)
+    if curve.is_polygonal:
+        curve._edges()  # the polygon check reads cached geometry only
+    rows = []
+    for cls in (PNorm, norms.PolygonGauge, Hexagonal, DiskIntersection, Pushforward):
+        def counting(self, v, _orig=cls.__dict__["value"]):
+            rows.append(np.size(v) // 2)
+            return _orig(self, v)
+        monkeypatch.setattr(cls, "value", counting)
+    NaturalParam(curve)
+    assert sum(rows) == 0
+    if not curve.is_polygonal:
+        curve.norm.value(basepoint)
+    check = sum(rows)
+    rows.clear()
+    param = NaturalParam(curve, basepoint)
+    assert sum(rows) == check
+    assert param.period > 0 and sum(rows) > check  # the counter sees the table's rows
+
+
+@pytest.mark.parametrize(
+    "curve, basepoint",
+    [(unit_sphere(PNorm(2)), (1.1, 0.0)),
+     (unit_sphere(Hexagonal()), (1.5, 0.0)),
+     (drop_curve(), (1.0, 1.001))],
+    ids=["l2", "hexagonal", "drop"],
+)
+def test_off_curve_basepoint_raises_at_construction(curve, basepoint):
+    with pytest.raises(PreconditionError):
+        NaturalParam(curve, basepoint)
+    with pytest.raises(PreconditionError):
+        build_natural_param(curve, basepoint)

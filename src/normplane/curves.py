@@ -553,10 +553,19 @@ def _on_curve_residual(curve, pts):
 
 
 def _as_param(obj):
-    """The natural parameterization of a norm's sphere or a curve, or obj itself."""
+    """The natural parameterization of a norm's sphere or a curve, or obj itself.
+
+    A norm or curve keeps its param in its instance dict, so every call
+    on the same instance reads one table; build_natural_param always
+    makes a new param.  The entry refers back to its owner, a cycle the
+    garbage collector frees with the instance.
+    """
     if isinstance(obj, NaturalParam):
         return obj
-    return build_natural_param(obj)
+    param = obj.__dict__.get("_natural_param")
+    if param is None:
+        param = obj.__dict__["_natural_param"] = build_natural_param(obj)
+    return param
 
 
 def _sphere_param(obj, what):

@@ -126,11 +126,12 @@ class MetricView:
     sample is a base net of curve points in circular curve order whose
     antipodes are exactly in the net.  dist broadcasts the ambient
     distance over leading axes, antipode_map sends a curve point to its
-    antipode, and ball_sampler returns curve points in curve order
-    covering an arc of the given radius around a given curve point at
-    spacing radius/100.  spacing records the base net's arc step.  Order
-    along the sphere is a property of the metric space, so the metric
-    classifiers may use it.
+    antipode, and ball_sampler(center, radius) returns curve points in
+    curve order covering an arc of the given radius around a given curve
+    point at spacing radius/100; given an array of radii it returns one
+    row of points per radius, shape radius.shape + (points, 2).  spacing
+    records the base net's arc step.  Order along the sphere is a
+    property of the metric space, so the metric classifiers may use it.
     """
 
     sample: np.ndarray
@@ -167,6 +168,7 @@ def build_metric_view(obj, base_spacing=None):
             if len(located) == 2:
                 del located[next(iter(located))]
             located[key] = param.locate(center)
+        radius = np.asarray(radius, dtype=float)[..., None]
         return param.point_at(located[key] + (radius / 100.0) * _SAMPLER_STEPS)
 
     return MetricView(sample=sample, dist=dist, antipode_map=antipode_map,
@@ -174,15 +176,31 @@ def build_metric_view(obj, base_spacing=None):
 
 
 def _arc_ends(d, eps, circular):
-    """Indices of the first and last point of every run with 1e-12 < d <= eps.
+    """Run ends at every eps level, as (idx, ends).
 
-    d holds distances to a center along points in curve order.  In a
-    circular list a run may wrap from the last point to the first.
+    ends[k, j] is true iff point idx[j] is the first or last point of a
+    run with 1e-12 < d <= eps[k].  d holds distances to a center along
+    points in curve order.  A circular d is one net, shape (n,), measured
+    once for all levels: only its points with d <= max(eps) are
+    candidates, idx lists them, and a run may wrap from the last point to
+    the first.  A linear d has one row of points per level, shape
+    (levels, n); every point is a candidate and a run ends at the array
+    ends.
     """
-    inside = (d > 1e-12) & (d <= eps)
-    before = np.concatenate([inside[-1:] if circular else [False], inside[:-1]])
-    after = np.concatenate([inside[1:], inside[:1] if circular else [False]])
-    return np.flatnonzero(inside & ~(before & after))
+    eps = np.asarray(eps, dtype=float)[:, None]
+    if circular:
+        idx = np.flatnonzero(d <= eps.max())
+        d, before, after = d[idx], d[idx - 1], d[(idx + 1) % len(d)]
+    else:
+        idx = np.arange(d.shape[-1])
+        pad = np.full(d.shape[:-1] + (1,), np.inf)
+        before = np.concatenate([pad, d[..., :-1]], axis=-1)
+        after = np.concatenate([d[..., 1:], pad], axis=-1)
+
+    def inside(a):
+        return (a > 1e-12) & (a <= eps)
+
+    return idx, inside(d) & ~(inside(before) & inside(after))
 
 
 def _check_eps(levels):
@@ -190,7 +208,7 @@ def _check_eps(levels):
         raise PreconditionError("eps levels must be below 1, or the arcs around x and -x meet")
 
 
-def _level_chords(dist, sample, x, ax, levels, ball_sampler):
+def _level_chords(dist, sample, x, ax, batches, ball_sampler):
     """(eps, chord, u, v) per level: the shortest chord between the eps-arcs of x and ax.
 
     For fixed u the distance to v does not decrease as v runs along the
@@ -200,22 +218,30 @@ def _level_chords(dist, sample, x, ax, levels, ball_sampler):
     circular runs of the net, linear runs of the ball sampler's points.
     Rounding at d == eps can split a run, and the center point itself is
     left out, so every run end is kept.  The net is measured once per
-    side; only the sampler's points are measured at each level.
+    side.  batches is a sequence of level sequences; per batch and side
+    the sampler is called once with all its radii and its points are
+    measured once.  The chords of a level are computed only when the
+    caller asks for that level.
     """
     sides = [(c, dist(sample, c)) for c in (x, ax)]
-    for eps in levels:
-        ends = []
+    for levels in batches:
+        if len(levels) == 0:
+            continue
+        radii = np.asarray(levels, dtype=float)
+        runs = []
         for center, d_net in sides:
-            ball = np.atleast_2d(ball_sampler(center, eps))
-            ends.append(np.concatenate([
-                sample[_arc_ends(d_net, eps, circular=True)],
-                ball[_arc_ends(dist(ball, center), eps, circular=False)]]))
-        U, V = ends
-        if len(U) == 0 or len(V) == 0:
-            raise PreconditionError("sample too coarse for eps = %g" % eps)
-        chords = dist(U[:, None, :], V[None, :, :])
-        i, j = np.unravel_index(int(np.argmin(chords)), chords.shape)
-        yield float(eps), float(chords[i, j]), U[i], V[j]
+            ball = ball_sampler(center, radii)
+            net_idx, net_ends = _arc_ends(d_net, radii, circular=True)
+            _, ball_ends = _arc_ends(dist(ball, center), radii, circular=False)
+            runs.append((sample[net_idx], net_ends, ball, ball_ends))
+        for k, eps in enumerate(levels):
+            U, V = (np.concatenate([net[net_ends[k]], ball[k][ball_ends[k]]])
+                    for net, net_ends, ball, ball_ends in runs)
+            if len(U) == 0 or len(V) == 0:
+                raise PreconditionError("sample too coarse for eps = %g" % eps)
+            chords = dist(U[:, None, :], V[None, :, :])
+            i, j = np.unravel_index(int(np.argmin(chords)), chords.shape)
+            yield float(eps), float(chords[i, j]), U[i], V[j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,7 +269,7 @@ def metric_nd_test(dist, antipode_map, sample, x, delta, eps_grid=EPS_GRID, *, b
     ax = np.asarray(antipode_map(x), dtype=float)
     transcript = []
     passed = True
-    for eps, best, u, v in _level_chords(dist, sample, x, ax, eps_grid, ball_sampler):
+    for eps, best, u, v in _level_chords(dist, sample, x, ax, (eps_grid,), ball_sampler):
         hit = best <= 2.0 - delta * eps
         transcript.append((eps, u, v, best, bool(hit)))
         passed = passed and hit
@@ -276,12 +302,23 @@ class NDReport:
         return [e.status for e in self.entries]
 
 
-def _classify_point(dist, antipode_map, sample, x, delta_grid, levels, ball_sampler):
+def _eps_batches(eps_grid):
+    """extended_eps_levels(eps_grid) in two batches: the grid, then its extension.
+
+    Smooth points are mostly decided inside the grid; corners need every
+    level, the extension included.
+    """
+    levels = extended_eps_levels(eps_grid)
+    n = len(set(float(e) for e in eps_grid))
+    return levels[:n], levels[n:]
+
+
+def _classify_point(dist, antipode_map, sample, x, delta_grid, batches, ball_sampler):
     ax = np.asarray(antipode_map(x), dtype=float)
     alive = {d: True for d in delta_grid}       # safe-passed every level so far
     safe_fail = {d: False for d in delta_grid}  # some level safely refused a witness
     transcript = []
-    for eps, best, u, v in _level_chords(dist, sample, x, ax, levels, ball_sampler):
+    for eps, best, u, v in _level_chords(dist, sample, x, ax, batches, ball_sampler):
         noise = _NOISE_FACTOR * eps
         transcript.append((eps, u, v, best, bool(best <= 2.0 - min(delta_grid) * eps)))
         for d in delta_grid:
@@ -313,12 +350,12 @@ def nd_classify_metric(dist, antipode_map, sample, delta_grid=None, eps_grid=Non
     """
     if delta_grid is None:
         delta_grid = DELTA_GRID
-    levels = extended_eps_levels(EPS_GRID if eps_grid is None else eps_grid)
-    _check_eps(levels)
+    batches = _eps_batches(EPS_GRID if eps_grid is None else eps_grid)
+    _check_eps(batches[0] + batches[1])
     entries = []
     for x in np.atleast_2d(np.asarray(targets, dtype=float)):
         status, transcript = _classify_point(dist, antipode_map, sample, x,
-                                             delta_grid, levels, ball_sampler)
+                                             delta_grid, batches, ball_sampler)
         entries.append(NDEntry(point=x.copy(), status=status, transcript=transcript))
     return NDReport(curve_id=curve_id, entries=tuple(entries))
 

@@ -171,6 +171,11 @@ def map_param(m, ts):
     return m.target.point_at(np.interp(tq, t_ext, s_ext))
 
 
+def _image(m, ts, pts):
+    """map_param(m, ts) given pts, the source points of ts, which a linear map reuses."""
+    return pts @ m.matrix.T if m.form == "linear" else map_param(m, ts)
+
+
 def map_point(m, pts):
     """Image of explicit source curve points."""
     pts = np.asarray(pts, dtype=float)
@@ -217,7 +222,7 @@ def distortion_profile(m, samples=256, seed=0):
     u = m.source.point_at(ta)
     v = m.source.point_at(tb)
     du = m.source.ambient.value(u - v)
-    dv = m.target.ambient.value(map_param(m, ta) - map_param(m, tb))
+    dv = m.target.ambient.value(_image(m, ta, u) - _image(m, tb, v))
     return np.abs(dv - du)
 
 
@@ -256,7 +261,7 @@ def fit_linear(m, basis, samples=256):
     T = imgs.T @ np.linalg.inv(np.column_stack([x, xb]))
     ts = _sample_params(m, samples, np.random.default_rng(0))
     u = m.source.point_at(ts)
-    res = float(np.max(m.target.ambient.value(map_param(m, ts) - u @ T.T)))
+    res = float(np.max(m.target.ambient.value(_image(m, ts, u) - u @ T.T)))
     return T, res
 
 
@@ -271,7 +276,7 @@ def fit_affine(m, anchors, samples=256):
     T, b = coef[:2].T, coef[2]
     ts = _sample_params(m, samples, np.random.default_rng(0))
     u = m.source.point_at(ts)
-    res = float(np.max(m.target.ambient.value(map_param(m, ts) - (u @ T.T + b))))
+    res = float(np.max(m.target.ambient.value(_image(m, ts, u) - (u @ T.T + b))))
     return T, b, res
 
 

@@ -12,6 +12,7 @@ from normplane.curves import build_natural_param, unit_sphere
 from normplane.diffdetect import (
     EPS_GRID,
     _arc_ends,
+    _eps_batches,
     _level_chords,
     build_metric_view,
     chord_partner,
@@ -45,6 +46,26 @@ def _exhaustive_chord(view, x, eps):
     U = _near(view.dist, view.sample, x, eps, view.ball_sampler)
     V = _near(view.dist, view.sample, view.antipode_map(x), eps, view.ball_sampler)
     return float(np.min(view.dist(U[:, None, :], V[None, :, :])))
+
+
+def _level_chords_per_level(dist, sample, x, ax, levels, ball_sampler):
+    # reference for the batched search: one sampler call and one pass over
+    # the whole net per level and side
+    def ends(d, eps, circular):
+        inside = (d > 1e-12) & (d <= eps)
+        before = np.concatenate([inside[-1:] if circular else [False], inside[:-1]])
+        after = np.concatenate([inside[1:], inside[:1] if circular else [False]])
+        return np.flatnonzero(inside & ~(before & after))
+
+    sides = [(c, dist(sample, c)) for c in (x, ax)]
+    for eps in levels:
+        U, V = (np.concatenate([
+            sample[ends(d_net, eps, True)],
+            ball[ends(dist(ball, c), eps, False)]])
+            for c, d_net in sides for ball in [np.atleast_2d(ball_sampler(c, eps))])
+        chords = dist(U[:, None, :], V[None, :, :])
+        i, j = np.unravel_index(int(np.argmin(chords)), chords.shape)
+        yield float(eps), float(chords[i, j]), U[i], V[j]
 
 
 def _classify(param, view, n_uniform=36):
@@ -160,7 +181,7 @@ def test_metric_witness_agrees_with_direct_search(params):
 
 def test_run_end_search_matches_exhaustive_chords(params):
     # every corner and 8 seeded points per corpus sphere, at every level
-    levels = extended_eps_levels()
+    batches = _eps_batches(EPS_GRID)
     rng = np.random.default_rng(71)
     worst = 0.0
     for p in params.values():
@@ -168,12 +189,34 @@ def test_run_end_search_matches_exhaustive_chords(params):
         ts = np.concatenate([p.corner_params(), rng.uniform(0.0, p.period, 8)])
         for x in p.point_at(ts):
             ax = view.antipode_map(x)
-            got = list(_level_chords(view.dist, view.sample, x, ax, levels, view.ball_sampler))
-            assert [g[0] for g in got] == list(levels)
+            got = list(_level_chords(view.dist, view.sample, x, ax, batches, view.ball_sampler))
+            assert [g[0] for g in got] == list(extended_eps_levels())
             for eps, chord, u, v in got:
                 worst = max(worst, abs(chord - _exhaustive_chord(view, x, eps)))
                 assert max(float(view.dist(u, x)), float(view.dist(v, ax))) <= eps + 1e-15
     assert worst <= 1e-15
+
+
+@pytest.mark.parametrize("grid", [EPS_GRID, (0.15, 0.03)], ids=["default", "custom"])
+def test_batched_levels_match_the_per_level_search(params, grid):
+    # bit for bit: every level's eps, chord, u and v, on every corner and
+    # 8 seeded points per corpus sphere
+    batches = _eps_batches(grid)
+    assert batches[0] + batches[1] == extended_eps_levels(grid)
+    assert batches[0] == tuple(sorted(grid, reverse=True))
+    rng = np.random.default_rng(72)
+    for name, p in params.items():
+        view = _view(p)
+        ts = np.concatenate([p.corner_params(), rng.uniform(0.0, p.period, 8)])
+        for x in p.point_at(ts):
+            ax = view.antipode_map(x)
+            got = list(_level_chords(view.dist, view.sample, x, ax, batches, view.ball_sampler))
+            want = list(_level_chords_per_level(view.dist, view.sample, x, ax,
+                                                extended_eps_levels(grid), view.ball_sampler))
+            assert len(got) == len(want) == len(extended_eps_levels(grid)), name
+            for g, w in zip(got, want):
+                assert g[:2] == w[:2], name
+                assert g[2].tobytes() == w[2].tobytes() and g[3].tobytes() == w[3].tobytes(), name
 
 
 @pytest.mark.parametrize(
@@ -190,8 +233,21 @@ def test_run_end_search_matches_exhaustive_chords(params):
     ],
 )
 def test_arc_ends_hand_cases(d, circular, want):
-    got = _arc_ends(np.array(d), 0.25, circular=circular)
-    assert got.tolist() == want
+    idx, ends = _arc_ends(np.array(d if circular else [d]), [0.25], circular=circular)
+    assert idx[ends[0]].tolist() == want
+
+
+def test_arc_ends_windowed_net_run_wraps():
+    # the window holds the net points within the coarsest level; at the
+    # finer level the run inside it wraps from the last point to the first
+    d = np.array([0.1, 0.2, 5.0, 5.0, 5.0, 0.15, 0.05])
+    idx, ends = _arc_ends(d, [0.25, 0.12], circular=True)
+    assert idx.tolist() == [0, 1, 5, 6]
+    assert [idx[row].tolist() for row in ends] == [[1, 5], [0, 6]]
+    # linear rows, one per level, read each level against its own row
+    rows = np.array([[0.3, 0.2, 0.1, 0.2], [0.3, 0.2, 0.1, 0.2]])
+    idx, ends = _arc_ends(rows, [0.25, 0.15], circular=False)
+    assert [idx[row].tolist() for row in ends] == [[1, 3], [2]]
 
 
 def test_metric_route_compares_run_ends_only(params):
@@ -229,6 +285,47 @@ def test_ball_sampler_locates_each_center_once(corpus, monkeypatch):
                              targets=targets, ball_sampler=view.ball_sampler)
     assert min(len(e.transcript) for e in rep.entries) > 2
     assert calls[0] == 2 * len(targets)
+
+
+def test_levels_are_sampled_in_two_batches(params):
+    # per side, one sampler call with the grid's radii and one with its
+    # extension's; a smooth point decided inside the grid never samples
+    # the extension, and the metric test reads its grid in one batch
+    grid, extension = len(EPS_GRID), len(extended_eps_levels()) - len(EPS_GRID)
+    calls = []
+
+    def counting(view):
+        def sampler(center, radius):
+            calls.append(np.shape(radius))
+            return view.ball_sampler(center, radius)
+        return sampler
+
+    for name, x, status, want in (
+            ("hexagonal", [0.0, 1.0], "corner", [(grid,)] * 2 + [(extension,)] * 2),
+            ("l2", [1.0, 0.0], "smooth", [(grid,)] * 2)):
+        view = _view(params[name])
+        calls.clear()
+        rep = nd_classify_metric(view.dist, view.antipode_map, view.sample,
+                                 targets=np.array([x]), ball_sampler=counting(view))
+        assert rep.statuses() == [status]
+        assert calls == want, name
+    assert len(rep.entries[0].transcript) <= grid
+    calls.clear()
+    metric_nd_test(view.dist, view.antipode_map, view.sample, np.array([1.0, 0.0]), 0.5,
+                   ball_sampler=counting(view))
+    assert calls == [(grid,)] * 2
+
+
+def test_ball_sampler_takes_an_array_of_radii(params):
+    # one row of points per radius, each row the scalar call's points bit for bit
+    view = _view(params["l3_push"])
+    x = params["l3_push"].point_at(0.7)
+    radii = np.array([0.2, 0.05, 0.0125])
+    rows = view.ball_sampler(x, radii)
+    assert rows.shape == (3, 211, 2)
+    for r, row in zip(radii, rows):
+        assert row.tobytes() == view.ball_sampler(x, float(r)).tobytes()
+    assert view.ball_sampler(x, 0.1).shape == (211, 2)
 
 
 def test_metric_route_needs_eps_below_one(params):

@@ -71,6 +71,27 @@ def test_distortion_profile_backs_the_max(params, corpus):
     assert float(np.max(prof)) == check_isometry(m)
 
 
+def test_linear_map_reuses_the_source_points(params, monkeypatch):
+    # a linear map's images are the source points already computed, times
+    # the matrix: one point_at per pair side, not two
+    m = linear_map(params["hexagonal"], params["hexagonal"], np.eye(2))
+    want = distortion_profile(m)
+    calls = []
+    point_at = m.source.point_at
+
+    def counting(ts):
+        calls.append(np.shape(ts))
+        return point_at(ts)
+
+    monkeypatch.setattr(m.source, "point_at", counting)
+    assert distortion_profile(m).tobytes() == want.tobytes()
+    assert len(calls) == 2
+    calls.clear()
+    fit_linear(m, (np.array([1.0, 0.0]), np.array([0.0, 1.0])))
+    fit_affine(m, np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]]))
+    assert len(calls) == 2
+
+
 def test_linear_map_rejects_singular_matrix(params):
     with pytest.raises(PreconditionError):
         linear_map(params["l2"], params["l2"], [[1.0, 2.0], [2.0, 4.0]])
@@ -347,6 +368,26 @@ def test_equilateral_triples_reads_a_prebuilt_param(params, corpus, drop):
             [np.asarray(t).tobytes() for t in want.triples]
     with pytest.raises(PreconditionError):
         equilateral_triples(build_natural_param(drop), 2.0, 1e-3)
+
+
+def test_equilateral_triples_of_a_norm_build_one_table(monkeypatch):
+    # a norm keeps its sphere's param, so a second search reads the same
+    # table; an explicit build still makes a new param
+    built = []
+    build = NaturalParam._build_table
+
+    def counting(self, *args):
+        built.append(1)
+        return build(self, *args)
+
+    monkeypatch.setattr(NaturalParam, "_build_table", counting)
+    norm = PNorm(2)
+    first = equilateral_triples(norm, SQRT3 + 0.004, 1e-6)
+    second = equilateral_triples(norm, SQRT3 + 0.004, 1e-6)
+    assert built == [1]
+    assert (first.status, first.distances) == (second.status, second.distances)
+    assert _as_param(norm) is _as_param(norm)
+    assert build_natural_param(norm) is not _as_param(norm)
 
 
 def test_arc_search_certifies_absence_in_linear_memory(corpus, params):

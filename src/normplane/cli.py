@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .birkhoff import orth_cone
-from .curves import build_natural_param, curve_from_spec, target_params, unit_sphere
+from .curves import build_natural_param, curve_from_spec, target_params
 from .diffdetect import (
     DELTA_GRID,
     EPS_GRID,
@@ -47,7 +47,7 @@ from .isometry import (
     zigzag,
 )
 from .norms import norm_eval, norm_from_spec
-from .svgplot import CHORD, FAINT, MARK, PATH, canvas_for, curve_outline, draw_curve
+from .svgplot import CHORD, CURVE, FAINT, MARK, PATH, canvas_for, curve_outline
 
 
 class InputError(Exception):
@@ -68,14 +68,13 @@ def _read_json(path):
 
 
 def _plane(obj, path):
-    """(norm, param) from the parsed JSON of a spec file; norm is None for sampled curves."""
+    """The param of a parsed spec file's sphere or curve; its curve.norm is None for a curve."""
     if not isinstance(obj, dict):
         raise InputError("%s: expected a JSON object" % path)
     if "family" in obj:
-        norm = norm_from_spec(obj, path=path)
-        return norm, build_natural_param(unit_sphere(norm))
+        return build_natural_param(norm_from_spec(obj, path=path))
     if "points" in obj:
-        return None, build_natural_param(curve_from_spec(obj, path=path))
+        return build_natural_param(curve_from_spec(obj, path=path))
     raise InputError("%s: neither a norm spec (family) nor a curve spec (points)" % path)
 
 
@@ -178,8 +177,8 @@ def _tally(body):
     return body, (3 if counts["disagree"] else 0)
 
 
-def _nd_metric_report(norm, param, args):
-    if norm is None:
+def _nd_metric_report(param, args):
+    if param.curve.norm is None:
         # the 2 - delta*eps chord threshold assumes a unit sphere of diameter 2
         raise InputError("metric mode needs a norm spec, not a sampled curve")
     eps = args.eps_grid if args.eps_grid is not None else EPS_GRID
@@ -226,12 +225,12 @@ def _nd_metric_report(norm, param, args):
 _FAR_STATUS = {"differentiable": "smooth", "not_differentiable": "corner", "inconclusive": "unreliable"}
 
 
-def _far_entry(norm, param, x, y, z, tol):
+def _far_entry(param, x, y, z, tol):
     res = far_field_test(param, x, y, z, slope_threshold=tol)
     oracle = nd_oracle(param, param.locate(x), threshold=tol)
     return {
         "agreement": _agreement(_FAR_STATUS[res.verdict], oracle),
-        "lam": float(norm.value(z - y)),
+        "lam": float(param.ambient.value(z - y)),
         "oracle": oracle,
         "slope_disagreement": float(res.disagreement),
         "slope_left": float(res.slope_left),
@@ -243,7 +242,8 @@ def _far_entry(norm, param, x, y, z, tol):
     }
 
 
-def _nd_far_report(norm, param, args):
+def _nd_far_report(param, args):
+    norm = param.curve.norm
     if norm is None:
         raise InputError("far mode needs a norm spec, not a sampled curve")
     entries = []
@@ -257,7 +257,7 @@ def _nd_far_report(norm, param, args):
         lam = float(norm.value(w))
         if not 0.0 < lam < 2.0:
             raise InputError("z - y must have norm strictly between 0 and 2")
-        entries.append(_far_entry(norm, param, w / lam, y, z, args.tol))
+        entries.append(_far_entry(param, w / lam, y, z, args.tol))
     else:
         count = 8 if args.resolution is None else int(args.resolution)
         rng = np.random.default_rng(args.seed)
@@ -272,7 +272,7 @@ def _nd_far_report(norm, param, args):
                 if z is None:
                     continue
                 try:
-                    entries.append(_far_entry(norm, param, x, y, z, args.tol))
+                    entries.append(_far_entry(param, x, y, z, args.tol))
                 except PreconditionError:
                     continue  # z landed on a corner; try another chord
                 break
@@ -312,15 +312,15 @@ def _nd_text(payload):
 
 
 def cmd_nd(args):
-    norm, param = _plane(_read_json(args.spec), args.spec)
+    param = _plane(_read_json(args.spec), args.spec)
     if args.mode == "oracle":
         if args.resolution is None:
             args.resolution = 360
         body, code = _nd_oracle_report(param, args)
     elif args.mode == "metric":
-        body, code = _nd_metric_report(norm, param, args)
+        body, code = _nd_metric_report(param, args)
     else:
-        body, code = _nd_far_report(norm, param, args)
+        body, code = _nd_far_report(param, args)
     body.update({"command": "nd", "mode": args.mode, "seed": args.seed, "spec": args.spec})
     _emit(_json_text(body) if args.format == "json" else _nd_text(body), args.out)
     return code
@@ -352,13 +352,13 @@ def _independent_param(param):
 
 def cmd_iso(args):
     src_obj = _read_json(args.source_spec)
-    src_norm, src = _plane(src_obj, args.source_spec)
+    src = _plane(src_obj, args.source_spec)
     tgt_obj = _read_json(args.target_spec)
     # equal specs share one plane; their JSON text tells true from 1, which == does not
     if tgt_obj == src_obj and _json_text(tgt_obj) == _json_text(src_obj):
         tgt = src
     else:
-        _, tgt = _plane(tgt_obj, args.target_spec)
+        tgt = _plane(tgt_obj, args.target_spec)
     m = map_from_spec(_read_json(args.map), src, tgt, path=args.map)
     checks = tuple(c.strip() for c in args.checks.split(",") if c.strip())
     for c in checks:
@@ -398,18 +398,19 @@ def cmd_iso(args):
             "value": res,
         }
     ok = all(r["pass"] for r in results.values())
+    norm = src.curve.norm
     payload = {
         "checks": results,
         "command": "iso",
         "form": m.form,
         "map": args.map,
-        "rigidity": None if src_norm is None else rigidity_verdict(src_norm),
+        "rigidity": None if norm is None else rigidity_verdict(norm),
         "samples": args.samples,
         "seed": args.seed,
         "source": args.source_spec,
         "target": args.target_spec,
         "tol": args.tol,
-        "two_corner_gap": None if src_norm is None else two_corner_undetermined(src_norm),
+        "two_corner_gap": None if norm is None else two_corner_undetermined(norm),
         "verdict": "pass" if ok else "reject",
     }
     if args.format == "json":
@@ -449,8 +450,9 @@ def cmd_iso(args):
 # -- plot ----------------------------------------------------------------
 
 
-def _overlay_prims(name, rest, norm, param):
+def _overlay_prims(name, rest, param):
     """Primitives and extent points for one overlay."""
+    norm = param.curve.norm
     prims, extent = [], []
     if name == "nd_points":
         if rest:
@@ -512,17 +514,17 @@ def _overlay_prims(name, rest, norm, param):
 
 
 def cmd_plot(args):
-    norm, param = _plane(_read_json(args.spec), args.spec)
+    param = _plane(_read_json(args.spec), args.spec)
     outline = curve_outline(param, samples=args.resolution)
     prims, extent = [], [outline]
     for spec in args.overlay or ():
         name, _, rest = spec.partition(":")
-        p, e = _overlay_prims(name.strip(), rest, norm, param)
+        p, e = _overlay_prims(name.strip(), rest, param)
         prims.extend(p)
         extent.extend(e)
     canvas = canvas_for(extent)
     canvas.axes()
-    draw_curve(canvas, param)
+    canvas.polyline(outline, color=CURVE, width=2.0, closed=True)
     for prim in prims:
         kind = prim[0]
         if kind == "poly":

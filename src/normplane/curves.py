@@ -14,6 +14,11 @@ interpolation table would drown in table noise long before reaching the
 tolerances the detectors need.  A step seeds its angle from the table and
 takes Newton steps on a chord sum fine enough for finite differences;
 `NaturalParam.shift_point` states its accuracy.
+
+Every library function that takes a plane accepts a norm, a curve or a
+NaturalParam.  A norm stands for its unit sphere, and a norm or curve
+keeps one cached param (`_as_param`), so a norm has one sphere; functions
+that need a unit sphere refuse other curves.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, SpecError
-from .norms import Norm, SphereStructure, _computed_once, cross2, norm_from_spec
+from .norms import Norm, SphereStructure, _computed_once, _corner_tangents, cross2, norm_from_spec
 
 TWO_PI = 2.0 * math.pi
 
@@ -57,25 +62,13 @@ class ConvexCurve:
     def structure(self):
         if self.kind == "sphere":
             return self.norm.structure()
-        pts = self.points
-        n = len(pts)
-        idx = np.where(~self.smooth)[0]
-        tin, tout = [], []
-        for k in idx:
-            ein = pts[k] - pts[k - 1]
-            eout = pts[(k + 1) % n] - pts[k]
-            tin.append(ein / self.ambient.value(ein))
-            tout.append(eout / self.ambient.value(eout))
-        corners = pts[idx] if len(idx) else np.zeros((0, 2))
-        tin = np.asarray(tin).reshape(-1, 2)
-        tout = np.asarray(tout).reshape(-1, 2)
-        return SphereStructure("polygonal", corners, tin, tout, vertices=pts)
+        idx = np.flatnonzero(~self.smooth)
+        tin, tout = _corner_tangents(self.points, idx, self.ambient.value)
+        return SphereStructure("polygonal", self.points[idx], tin, tout, vertices=self.points)
 
     @property
     def is_polygonal(self):
-        if self.kind == "sampled":
-            return True
-        return self.norm.structure().kind == "polygonal"
+        return self.kind == "sampled" or self.norm.structure().kind == "polygonal"
 
     @_computed_once
     def _edges(self):
@@ -221,7 +214,7 @@ class NaturalParam:
         if basepoint is not None:
             basepoint = np.asarray(basepoint, dtype=float)
             if curve.is_polygonal:
-                self._project_polygon(curve._edges(), basepoint)
+                self._project_polygon(curve._edges(), basepoint, "basepoint")
             elif abs(float(curve.norm.value(basepoint)) - 1.0) > 1e-6:
                 raise PreconditionError("basepoint does not lie on the unit sphere")
         self._pending = (basepoint, resolution)
@@ -232,7 +225,7 @@ class NaturalParam:
         if pending is None:
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
         self._struct = self.curve.structure()
-        self._polygonal = self.curve.kind == "sampled" or self._struct.kind == "polygonal"
+        self._polygonal = self._struct.kind == "polygonal"  # as for every sampled curve
         if self._polygonal:
             self._build_polygon(pending[0])
         else:
@@ -242,13 +235,10 @@ class NaturalParam:
     # -- polygon machinery -------------------------------------------------
 
     def _build_polygon(self, basepoint):
-        if self.curve.kind == "sampled":
-            verts = self.curve.points
-        else:
-            verts = self._struct.vertices
+        verts = self._struct.vertices
         if basepoint is None:
             basepoint = verts[0].copy()
-        ei, frac = self._project_polygon(self.curve._edges(), basepoint)
+        ei, frac = self._project_polygon(self.curve._edges(), basepoint, "basepoint")
         n = len(verts)
         cycle = verts[(ei + 1 + np.arange(n)) % n]
         if frac <= 1e-12:
@@ -268,10 +258,10 @@ class NaturalParam:
         self._index_corners(self.knots_p[:-1], self.knots_t[:-1])
 
     @staticmethod
-    def _project_polygon(edges, point):
+    def _project_polygon(edges, point, what):
         best, s, err = _nearest_edge(edges, point)
         if err > 1e-7:
-            raise PreconditionError("basepoint does not lie on the curve")
+            raise PreconditionError("%s does not lie on the curve" % what)
         return best, s
 
     def _index_corners(self, pts, ts):
@@ -343,7 +333,7 @@ class NaturalParam:
         """Parameter of a point lying on the curve."""
         point = np.asarray(point, dtype=float)
         if self._polygonal:
-            ei, frac = self._project_polygon(self._knot_edges, point)
+            ei, frac = self._project_polygon(self._knot_edges, point, "point")
             return float((self.knots_t[ei] + frac * self._seg_len[ei]) % self.period)
         if abs(float(self.ambient.value(point)) - 1.0) > 1e-6:
             raise PreconditionError("point does not lie on the unit sphere")
@@ -453,10 +443,19 @@ class NaturalParam:
         j = int(np.argmin(d))
         return d[j] <= 1e-9 and bool(self.curve.smooth[j])
 
-    def _fd_side(self, tm):
-        anchor = self.point_at(tm)
+    def side_slopes(self, anchor, f):
+        """_one_sided's right and left derivatives of f along the curve at the point anchor.
+
+        f maps curve points, stacked on leading axes, to values; it is
+        applied to the anchor and to the points ahead and behind, which
+        one shift_point call gives at +_FD_STEPS and -_FD_STEPS.
+        """
+        n = len(_FD_STEPS)
         pts = self.shift_point(anchor, np.concatenate([_FD_STEPS, np.negative(_FD_STEPS)]))
-        (right, coarse_r), (left, coarse_l) = _one_sided(anchor, pts[:3], pts[3:])
+        return _one_sided(f(anchor), f(pts[:n]), f(pts[n:]))
+
+    def _fd_side(self, tm):
+        (right, coarse_r), (left, coarse_l) = self.side_slopes(self.point_at(tm), lambda p: p)
         dis = max(float(self.ambient.value(coarse_l - left)),
                   float(self.ambient.value(coarse_r - right)))
         gap = float(self.ambient.value(left - right))
@@ -568,6 +567,15 @@ def _as_param(obj):
     return param
 
 
+def _as_curve(obj):
+    """The curve of a param, a curve itself, or a norm's sphere: the curve of its one param."""
+    if isinstance(obj, NaturalParam):
+        return obj.curve
+    if isinstance(obj, ConvexCurve):
+        return obj
+    return _as_param(obj).curve
+
+
 def _sphere_param(obj, what):
     """_as_param of a norm or of its sphere's param; refuses other curves."""
     param = _as_param(obj)
@@ -581,9 +589,7 @@ _DIRS = {"E": np.array([1.0, 0.0]), "N": np.array([0.0, 1.0]),
 
 
 def _polygon_vertices(curve):
-    if curve.kind == "sampled":
-        return curve.points
-    return curve.norm.structure().vertices
+    return curve.points if curve.kind == "sampled" else curve.norm.structure().vertices
 
 
 def extreme_points(curve):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _FD_STEPS, _as_param, _one_sided, _sphere_param
+from .curves import _as_param, _sphere_param
 from .errors import PreconditionError
 
 __all__ = [
@@ -379,7 +379,7 @@ class FarFieldResult:
 
 
 def far_field_profile(obj, y, z, ts):
-    """G(t) = dist(gamma_z(t), y) along the sphere through z, of a norm or its param."""
+    """G(t) = dist(gamma_z(t), y) along the sphere through z."""
     param = _sphere_param(obj, "the far-field test")
     y = np.asarray(y, dtype=float)
     pts = param.shift_point(np.asarray(z, dtype=float), np.asarray(ts, dtype=float))
@@ -403,7 +403,6 @@ def chord_partner(norm, x, y):
 def far_field_test(obj, x, y, z, slope_threshold=1e-3):
     """One-sided slopes of G(t) = dist(gamma_z(t), y) at t = 0.
 
-    obj is a norm or the natural parameterization of its sphere.
     Requires unit x, y, z with z - y a positive multiple of x shorter
     than 2, and z a smooth sphere point.  The verdict compares one-sided
     slopes at steps 1e-3, 1e-4 and 1e-5, extrapolated to step zero: a
@@ -427,10 +426,7 @@ def far_field_test(obj, x, y, z, slope_threshold=1e-3):
     tz = param.locate(z)
     if param._corner_at(tz) is not None:
         raise PreconditionError("z must be a smooth point of the sphere")
-    hs = np.asarray(_FD_STEPS)
-    g0 = float(norm.value(z - y))
-    (right, coarse_r), (left, coarse_l) = _one_sided(
-        g0, far_field_profile(param, y, z, hs), far_field_profile(param, y, z, -hs))
+    (right, coarse_r), (left, coarse_l) = param.side_slopes(z, lambda p: norm.value(p - y))
     right, left = float(right), float(left)
     disagreement = max(abs(float(coarse_l) - left), abs(float(coarse_r) - right))
     if disagreement > slope_threshold / 10.0:
@@ -445,8 +441,7 @@ def far_field_test(obj, x, y, z, slope_threshold=1e-3):
 def far_slope_reference(obj, x, z):
     """The z2 coordinate of gamma_z'(0) in the basis {-left derivative at x, x}.
 
-    obj is a norm or the natural parameterization of its sphere.  At a
-    not_differentiable instance the left slope of G equals this
+    At a not_differentiable instance the left slope of G equals this
     coordinate, which gives an independent check on the far-field
     slopes.
     """

@@ -23,30 +23,18 @@ import numpy as np
 
 from .curves import (
     _DIRS,
-    _FD_STEPS,
-    ConvexCurve,
     NaturalParam,
+    _as_curve,
     _as_param,
     _on_curve_residual,
-    _one_sided,
     _sphere_param,
     extreme_points,
     line_crossings,
-    unit_sphere,
 )
 from .errors import PreconditionError, SpecError
 from .norms import cross2
 
 _ADJACENT = {"E": ("N", "S"), "N": ("W", "E"), "W": ("S", "N"), "S": ("E", "W")}
-
-
-def _as_curve(obj):
-    # accept a curve, a natural parameterization of one, or a norm
-    if isinstance(obj, NaturalParam):
-        return obj.curve
-    if isinstance(obj, ConvexCurve):
-        return obj
-    return unit_sphere(obj)
 
 
 # -- sphere maps ---------------------------------------------------------
@@ -390,8 +378,6 @@ _FINE_SPACING = 1e-4  # certified absence holds on every net this fine or finer
 
 def equilateral_triples(obj, target_distance, margin):
     """Search a sphere net for pairwise-far triples, or certify absence.
-
-    obj is a norm or the natural parameterization of its sphere.
 
     A triple counts when all three pairwise distances reach
     target_distance - margin.  Absence is certified through the net:
@@ -797,10 +783,7 @@ def nondiff_set(curve, a, sample_resolution=360):
     ts = (ta + param.period * np.arange(k) / k) % param.period
     bs = param.point_at(ts)
 
-    hs = np.asarray(_FD_STEPS)
-    slide = param.shift_point(a, np.concatenate([-hs, hs]))  # (6, 2)
-    G = norm.value(slide[:, None, :] - bs[None, :, :])  # (6, k)
-    (r_fine, _), (l_fine, _) = _one_sided(norm.value(a - bs), G[3:6], G[0:3])
+    (r_fine, _), (l_fine, _) = param.side_slopes(a, lambda p: norm.value(p[..., None, :] - bs))
     gaps = np.abs(r_fine - l_fine)
     flagged = gaps > 1e-3
     return NonDiffSample(a.copy(), ts, bs, gaps, flagged)

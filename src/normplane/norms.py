@@ -125,6 +125,21 @@ class SphereStructure:
     vertices: np.ndarray | None = None
 
 
+def _corner_tangents(verts, idx, value):
+    """Ambient-unit tangents (in, out) of the closed polygon verts at its vertices idx.
+
+    value is called on one edge at a time, so no tangent depends on a batch.
+    """
+    n = len(verts)
+    tin, tout = np.zeros((len(idx), 2)), np.zeros((len(idx), 2))
+    for r, k in enumerate(idx):
+        ein = verts[k] - verts[k - 1]
+        eout = verts[(k + 1) % n] - verts[k]
+        tin[r] = ein / value(ein)
+        tout[r] = eout / value(eout)
+    return tin, tout
+
+
 def _sorted_corner_arrays(corners, tin, tout):
     corners = np.asarray(corners, dtype=float).reshape(-1, 2)
     tin = np.asarray(tin, dtype=float).reshape(-1, 2)
@@ -227,15 +242,7 @@ class Norm:
 
     def _polygon_structure(self, vertices):
         w = np.asarray(vertices, dtype=float)
-        k = len(w)
-        tin = np.empty_like(w)
-        tout = np.empty_like(w)
-        for i in range(k):
-            ein = w[i] - w[i - 1]
-            eout = w[(i + 1) % k] - w[i]
-            tin[i] = ein / self.value(ein)
-            tout[i] = eout / self.value(eout)
-        c, ti, to = _sorted_corner_arrays(w, tin, tout)
+        c, ti, to = _sorted_corner_arrays(w, *_corner_tangents(w, range(len(w)), self.value))
         return SphereStructure("polygonal", c, ti, to, vertices=c)
 
     def __repr__(self):

@@ -167,6 +167,13 @@ def test_nd_far_needs_a_norm(capsys, specs_dir, mode):
     assert code == 2 and "%s mode needs a norm spec, not a sampled curve" % mode in err
 
 
+def test_nd_far_off_sphere_point_is_named(capsys, specs_dir):
+    # z passes the 1e-6 unit check but lies 5e-7 off the hexagon: the error names the point
+    code, out, err = _run(capsys, "nd", "--spec", str(specs_dir / "hexagonal.json"),
+                          "--mode", "far", "--points=-0.5,0.5;1.0000005,0.50000025")
+    assert (code, out, err) == (2, "", "error: point does not lie on the curve\n")
+
+
 def test_nd_metric_rejects_symmetric_sampled_curve(capsys, tmp_path, double_drop):
     # centrally symmetric, but still no unit sphere: the chord threshold
     # 2 - delta*eps would give wrong verdicts rather than an error
@@ -334,6 +341,17 @@ def test_plot_unknown_overlay_exit_2(capsys, specs_dir):
     code, _, err = _run(capsys, "plot", "--spec", str(specs_dir / "l2.json"),
                         "--overlay", "confetti")
     assert code == 2 and "unknown overlay" in err
+
+
+@pytest.mark.parametrize("resolution", [16, 64, 4096])
+def test_plot_resolution_is_the_outline_sample_count(capsys, specs_dir, resolution):
+    # l2 has no corners, so its outline polygon has exactly --resolution points
+    code, out, _ = _run(capsys, "plot", "--spec", str(specs_dir / "l2.json"),
+                        "--resolution", str(resolution))
+    assert code == 0
+    outline = [line for line in out.splitlines() if line.startswith("<polygon ")]
+    assert len(outline) == 1
+    assert outline[0].split('"')[1].count(",") == resolution
 
 
 def test_plot_triples_builds_one_natural_param(capsys, specs_dir, monkeypatch):

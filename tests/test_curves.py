@@ -7,13 +7,15 @@ import pytest
 from scipy.optimize import brentq
 
 from normplane import norms
-from normplane.diffdetect import _oracle_status
+from normplane.diffdetect import _oracle_status, far_field_profile
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
 from normplane.corpus import PUSH_MATRIX, corpus_norms, double_drop_curve, drop_curve
 from normplane import curves
 from normplane.curves import (
     NaturalParam,
+    _as_curve,
+    _as_param,
     _nearest_edge,
     _on_curve_residual,
     build_natural_param,
@@ -854,3 +856,60 @@ def test_off_curve_basepoint_raises_at_construction(curve, basepoint):
         NaturalParam(curve, basepoint)
     with pytest.raises(PreconditionError):
         build_natural_param(curve, basepoint)
+
+
+def test_off_curve_point_is_named_by_locate(drop):
+    # locate blames the point it was given; only a bad basepoint blames the basepoint
+    for curve, off in ((unit_sphere(Hexagonal()), (1.0000005, 0.50000025)),
+                       (drop, (1.0, 1.001))):
+        with pytest.raises(PreconditionError, match="^point does not lie on the curve$"):
+            build_natural_param(curve).locate(np.array(off))
+        with pytest.raises(PreconditionError, match="^basepoint does not lie on the curve$"):
+            build_natural_param(curve, off)
+
+
+# -- one owner per piece of sphere geometry ----------------------------------
+
+
+def _bytes(pairs):
+    return [np.asarray(v).tobytes() for pair in pairs for v in pair]
+
+
+def test_side_slopes_match_the_stencils_they_replace(params, drop):
+    # side_slopes gives, bit for bit, each stencil it replaced: _fd_side's (+h, -h)
+    # stacking, nondiff_set's (-h, +h) stacking over every b, and far_field_test's
+    # two far_field_profile calls
+    hs = np.asarray(curves._FD_STEPS)
+    rng = np.random.default_rng(11)
+    for name, p in dict(params, drop=build_natural_param(drop)).items():
+        norm = p.ambient
+        for t in rng.uniform(0.0, p.period, 4):
+            a = p.point_at(t)
+            pts = p.shift_point(a, np.concatenate([hs, -hs]))
+            want = curves._one_sided(a, pts[:3], pts[3:])
+            assert _bytes(p.side_slopes(a, lambda q: q)) == _bytes(want), name
+
+            bs = p.point_at(rng.uniform(0.0, p.period, 24))
+            slide = p.shift_point(a, np.concatenate([-hs, hs]))
+            G = norm.value(slide[:, None, :] - bs[None, :, :])
+            want = curves._one_sided(norm.value(a - bs), G[3:6], G[0:3])
+            got = p.side_slopes(a, lambda q: norm.value(q[..., None, :] - bs))
+            assert _bytes(got) == _bytes(want), name
+
+            if p.curve.kind == "sphere":
+                y = bs[0]
+                want = curves._one_sided(float(norm.value(a - y)), far_field_profile(p, y, a, hs),
+                                         far_field_profile(p, y, a, -hs))
+                got = p.side_slopes(a, lambda q: norm.value(q - y))
+                assert _bytes(got) == _bytes(want), name
+
+
+def test_a_norm_has_one_sphere():
+    # a norm's curve is the curve of its one param; a curve or a param passes through
+    norm = PNorm(3.0)
+    assert _as_curve(norm) is _as_param(norm).curve
+    assert _as_curve(norm) is _as_curve(norm)
+    drop = drop_curve()
+    param = build_natural_param(drop)
+    assert _as_curve(drop) is drop and _as_curve(param) is drop
+    assert "_natural_param" not in vars(drop)  # no param was made for the curve

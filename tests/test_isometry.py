@@ -10,8 +10,9 @@ import pytest
 from normplane import isometry
 from normplane.corpus import corpus_norms
 from normplane.errors import PreconditionError, SpecError
-from normplane.norms import Hexagonal, PNorm, Pushforward
+from normplane.norms import Hexagonal, PNorm, Pushforward, _computed_once
 from normplane.curves import (
+    ConvexCurve,
     NaturalParam,
     _as_param,
     build_natural_param,
@@ -672,3 +673,20 @@ def test_nondiff_set_accepts_norm_curve_or_param(params):
         res = nondiff_set(obj, np.array([1.0, 0.0]), sample_resolution=24)
         out.append(int(np.asarray(res.flagged).sum()))
     assert out[0] == out[1] == out[2]
+
+
+def test_chord_triples_of_a_norm_read_one_sphere(monkeypatch):
+    # the norm's one sphere keeps its extreme points, so a second search computes none
+    computed = []
+    inner = ConvexCurve._extremes.__wrapped__
+
+    def _extremes(self):
+        computed.append(self)
+        return inner(self)
+
+    monkeypatch.setattr(ConvexCurve, "_extremes", _computed_once(_extremes))
+    norm = PNorm(3.0)
+    first = chord_triple(norm, np.array([1.0, 2.0]))
+    second = chord_triple(norm, np.array([1.0, 2.0]))
+    assert len(computed) == 1
+    assert [np.asarray(v).tobytes() for v in first] == [np.asarray(v).tobytes() for v in second]

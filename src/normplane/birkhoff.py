@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import TWO_PI
+from .curves import ON_CURVE_TOL, TWO_PI
 from .errors import PreconditionError
 from .norms import cross2, rot90
 
@@ -163,7 +163,7 @@ def perp_point(norm, x):
     if not norm.is_strictly_convex:
         raise PreconditionError("perp_point requires a strictly convex norm")
     x = np.asarray(x, dtype=float)
-    if abs(float(norm.value(x)) - 1.0) > 1e-6:
+    if abs(float(norm.value(x)) - 1.0) > ON_CURVE_TOL:
         raise PreconditionError("perp_point requires x on the unit sphere")
     _, z = norm.support(rot90(x))
     if abs(z[1]) <= 1e-9:

@@ -32,6 +32,9 @@ from .errors import PreconditionError, SpecError
 from .norms import Norm, SphereStructure, _computed_once, _corner_tangents, cross2, norm_from_spec
 
 TWO_PI = 2.0 * math.pi
+# farthest a point may lie from a curve, in the ambient norm, and still be on it: |norm(p) - 1|
+# on a unit sphere, the ambient length of p's offset from its nearest edge on a polygon
+ON_CURVE_TOL = 1e-6
 
 __all__ = [
     "ConvexCurve",
@@ -215,7 +218,7 @@ class NaturalParam:
             basepoint = np.asarray(basepoint, dtype=float)
             if curve.is_polygonal:
                 self._project_polygon(curve._edges(), basepoint, "basepoint")
-            elif abs(float(curve.norm.value(basepoint)) - 1.0) > 1e-6:
+            elif abs(float(curve.norm.value(basepoint)) - 1.0) > ON_CURVE_TOL:
                 raise PreconditionError("basepoint does not lie on the unit sphere")
         self._pending = (basepoint, resolution)
 
@@ -257,10 +260,9 @@ class NaturalParam:
         self._knot_edges = _polygon_edges(self.knots_p[:-1])
         self._index_corners(self.knots_p[:-1], self.knots_t[:-1])
 
-    @staticmethod
-    def _project_polygon(edges, point, what):
-        best, s, err = _nearest_edge(edges, point)
-        if err > 1e-7:
+    def _project_polygon(self, edges, point, what):
+        best, s, off = _polygon_offset(edges, point, self.ambient)
+        if off > ON_CURVE_TOL:
             raise PreconditionError("%s does not lie on the curve" % what)
         return best, s
 
@@ -282,37 +284,38 @@ class NaturalParam:
     # -- smooth / piecewise-arc machinery ----------------------------------
 
     def _build_table(self, basepoint, resolution):
+        # a sphere is centrally symmetric: the half turn from phi_b is measured, then mirrored
         norm = self.curve.norm
         if basepoint is None:
             basepoint = norm.unit_point(0.0)
         phi_b = math.atan2(basepoint[1], basepoint[0])
         corners = self._struct.corners
-        corner_phis = np.arctan2(corners[:, 1], corners[:, 0]) if len(corners) else np.zeros(0)
-        rel_corners = np.sort(np.mod(corner_phis - phi_b, TWO_PI))
-        rel = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-        rel = np.unique(np.concatenate([rel, rel_corners, [0.0]]))
+        rel_corners = np.mod(np.arctan2(corners[:, 1], corners[:, 0]) - phi_b, TWO_PI)
+        order_by_rel = np.argsort(rel_corners)
+        # sorted by angle, the second half of the corners are the first half's antipodes
+        half_corners = rel_corners[order_by_rel[:len(corners) // 2]]
+        rel = np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
+        rel = np.unique(np.concatenate([rel, half_corners, [0.0]]))
         # drop grid points that crowd a corner so corners stay exact knots
-        for c in rel_corners:
+        for c in half_corners:
             near = (np.abs(rel - c) < 1e-12) & (rel != c)
             rel = rel[~near]
-        self._rel = np.concatenate([rel, [TWO_PI]])
+        h = len(rel)
+        self._rel = np.concatenate([rel, rel + math.pi, [TWO_PI]])
         self._phi_b = phi_b
-        phis = phi_b + self._rel
-        pts = norm.unit_point(phis)
+        pts = norm.unit_point(phi_b + rel)
         pts[0] = basepoint
-        pts[-1] = basepoint
-        self.knots_p = pts
-        seg = np.asarray(self.ambient.value(np.diff(pts, axis=0)))
-        self.knots_t = np.concatenate([[0.0], np.cumsum(seg)])
-        self._seg_len = seg
-        self.period = float(self.knots_t[-1])
+        self.knots_p = np.concatenate([pts, -pts, pts[:1]])
+        seg = np.asarray(self.ambient.value(np.diff(self.knots_p[:h + 1], axis=0)))
+        half_t = np.concatenate([[0.0], np.cumsum(seg)])
+        self.knots_t = np.concatenate([half_t, half_t[1:] + half_t[-1]])
+        self._seg_len = np.concatenate([seg, seg])
+        self.period = 2.0 * float(half_t[-1])
         self.basepoint = basepoint
-        idx = np.searchsorted(rel, rel_corners)
-        keep = [i for i, c in zip(idx, rel_corners) if i < len(rel) and rel[i] == c]
-        order_by_rel = np.argsort(np.mod(corner_phis - phi_b, TWO_PI))
-        self.corner_ts = self.knots_t[np.asarray(keep, dtype=int)] if keep else np.zeros(0)
-        self._corner_in = self._struct.corner_in[order_by_rel] if len(corners) else np.zeros((0, 2))
-        self._corner_out = self._struct.corner_out[order_by_rel] if len(corners) else np.zeros((0, 2))
+        idx = np.searchsorted(rel, half_corners)
+        self.corner_ts = self.knots_t[np.concatenate([idx, idx + h])]
+        self._corner_in = self._struct.corner_in[order_by_rel]
+        self._corner_out = self._struct.corner_out[order_by_rel]
 
     # -- shared interface --------------------------------------------------
 
@@ -335,13 +338,14 @@ class NaturalParam:
         if self._polygonal:
             ei, frac = self._project_polygon(self._knot_edges, point, "point")
             return float((self.knots_t[ei] + frac * self._seg_len[ei]) % self.period)
-        if abs(float(self.ambient.value(point)) - 1.0) > 1e-6:
+        if abs(float(self.ambient.value(point)) - 1.0) > ON_CURVE_TOL:
             raise PreconditionError("point does not lie on the unit sphere")
         rel = (math.atan2(point[1], point[0]) - self._phi_b) % TWO_PI
         i = int(np.clip(np.searchsorted(self._rel, rel, side="right") - 1, 0, len(self._seg_len) - 1))
         return float((self.knots_t[i] + self.ambient.value(point - self.knots_p[i])) % self.period)
 
     def antipode_t(self, t):
+        """t + L/2; on a mirrored sphere table (_build_table), gamma(t + L/2) = -gamma(t) at knots."""
         return (t + self.period / 2.0) % self.period
 
     def corner_params(self):
@@ -542,13 +546,22 @@ def _nearest_edge(edges, point):
     return _score_edges(verts, np.arange(n), point)
 
 
+def _polygon_offset(edges, point, ambient):
+    """_nearest_edge, with the offset measured in the ambient norm beyond rounding (edges.tol)."""
+    i, s, err = _nearest_edge(edges, point)
+    if err > edges.tol:
+        a, b = edges.verts[i], edges.verts[(i + 1) % len(edges.verts)]
+        err = float(ambient.value(a + s * (b - a) - point))
+    return i, s, err
+
+
 def _on_curve_residual(curve, pts):
-    """Largest |norm(p) - 1| on a sphere, or Euclidean distance to a sampled polygon."""
+    """Largest ambient-norm distance of pts from the curve (see ON_CURVE_TOL)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     if curve.kind == "sphere":
         return float(np.max(np.abs(curve.norm.value(pts) - 1.0)))
     edges = curve._edges()
-    return max(_nearest_edge(edges, p)[2] for p in pts)
+    return max(_polygon_offset(edges, p, curve.ambient)[2] for p in pts)
 
 
 def _as_param(obj):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import _as_param, _sphere_param
+from .curves import ON_CURVE_TOL, _as_param, _sphere_param
 from .errors import PreconditionError
 
 __all__ = [
@@ -148,9 +148,9 @@ def build_metric_view(obj, base_spacing=None):
     if base_spacing is None:
         base_spacing = min(EPS_GRID) / 4.0
     n = int(math.ceil(param.period / base_spacing))
-    n += n % 2  # even count keeps the net exactly antipode-closed
-    ts = np.arange(n) * (param.period / n)
-    sample = param.point_at(ts)
+    n += n % 2  # an even net whose second half is the first negated: exactly antipode-closed
+    half = param.point_at(np.arange(n // 2) * (param.period / n))
+    sample = np.concatenate([half, -half])
 
     def dist(a, b):
         d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -365,7 +365,7 @@ def nd_classify_metric(dist, antipode_map, sample, delta_grid=None, eps_grid=Non
 
 def _check_unit(norm, v, name):
     v = np.asarray(v, dtype=float)
-    if abs(float(norm.value(v)) - 1.0) > 1e-6:
+    if abs(float(norm.value(v)) - 1.0) > ON_CURVE_TOL:
         raise PreconditionError("%s must lie on the unit sphere" % name)
     return v
 

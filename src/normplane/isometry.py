@@ -23,6 +23,7 @@ import numpy as np
 
 from .curves import (
     _DIRS,
+    ON_CURVE_TOL,
     NaturalParam,
     _as_curve,
     _as_param,
@@ -69,14 +70,14 @@ def _linear_map(source, target, matrix):
 
 def linear_map(source, target, matrix):
     """Build a linear-form map whose images of 256 evenly spaced source
-    points lie within 1e-6 of the target curve."""
+    points lie within ON_CURVE_TOL (1e-6) of the target curve."""
     m = _linear_map(source, target, matrix)
     ts = np.linspace(0.0, m.source.period, 256, endpoint=False)
     err = _on_curve_residual(m.target.curve, m.source.point_at(ts) @ m.matrix.T)
-    if err > 1e-6:
+    if err > ON_CURVE_TOL:
         raise PreconditionError(
             "matrix does not carry the source curve onto the target curve "
-            "(residual %.3g > 1e-06)" % err)
+            "(residual %.3g > %g)" % (err, ON_CURVE_TOL))
     return m
 
 
@@ -228,7 +229,7 @@ def check_antipodes(m, samples=256):
         probe = src.point_at(ts[:: max(1, len(ts) // 32)])
         if _on_curve_residual(src.curve, -probe) > 1e-8:
             raise PreconditionError("source curve is not centrally symmetric")
-    # -gamma(t) = gamma(t + L/2) on a centrally symmetric curve
+    # -gamma(t) = gamma(t + L/2) on a centrally symmetric curve (see antipode_t)
     tx = map_param(m, ts)
     tmx = map_param(m, src.antipode_t(ts))
     return float(np.max(m.target.ambient.value(tx + tmx)))
@@ -672,7 +673,7 @@ def zigzag(curve, c, a):
               if float(c @ d) >= vals[name] - 1e-9)
     if hit < 2:
         raise PreconditionError("c must be extreme in two directions")
-    if _on_curve_residual(curve, [a, c]) > 1e-6:
+    if _on_curve_residual(curve, [a, c]) > ON_CURVE_TOL:
         raise PreconditionError("c and a must lie on the curve")
     ambient = curve.ambient
 
@@ -723,7 +724,7 @@ def staircase(curve, a, n_min, n_max):
         raise PreconditionError("need n_min <= 0 <= n_max")
     a = np.asarray(a, dtype=float).reshape(2)
     param = _as_param(curve)
-    if _on_curve_residual(param.curve, a) > 1e-6:
+    if _on_curve_residual(param.curve, a) > ON_CURVE_TOL:
         raise PreconditionError("a must lie on the curve")
     out = {0: a.copy()}
 
@@ -775,7 +776,7 @@ def nondiff_set(curve, a, sample_resolution=360):
     """
     a = np.asarray(a, dtype=float).reshape(2)
     param = _as_param(curve)
-    if _on_curve_residual(param.curve, a) > 1e-6:
+    if _on_curve_residual(param.curve, a) > ON_CURVE_TOL:
         raise PreconditionError("a must lie on the curve")
     norm = param.ambient
     k = max(8, int(sample_resolution))

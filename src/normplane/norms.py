@@ -236,9 +236,9 @@ class Norm:
     def unit_point(self, theta):
         """Point of the unit sphere in direction theta (radians)."""
         theta = np.asarray(theta, dtype=float)
-        d = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        val = self.value(d)
-        return d / np.asarray(val)[..., None]
+        c, s = np.cos(theta), np.sin(theta)
+        val = np.asarray(self.value(np.stack([c, s], axis=-1)))
+        return np.stack([c / val, s / val], axis=-1)
 
     def _polygon_structure(self, vertices):
         w = np.asarray(vertices, dtype=float)
@@ -490,11 +490,14 @@ class DiskIntersection(Norm):
 
     def value(self, v):
         arr, single = _as_batch(v)
-        b = arr @ self.centers.T
-        vv = (arr[..., 0] ** 2 + arr[..., 1] ** 2)[..., None]
-        lam = (-b + np.sqrt(b * b + self._a[None, :] * vv)) / self._a[None, :]
-        # max over the few disks one disk at a time, faster than along the last axis
-        out = functools.reduce(np.maximum, np.moveaxis(lam, -1, 0))
+        x, y = arr[..., 0], arr[..., 1]
+        # the disks on a leading axis and products taken elementwise: numpy runs
+        # one long loop per array op, and no row's value depends on its batch
+        lead = (-1,) + (1,) * x.ndim
+        c0, c1, a = (w.reshape(lead) for w in (self.centers[:, 0], self.centers[:, 1], self._a))
+        b = c0 * x + c1 * y
+        lam = (-b + np.sqrt(b * b + a * (x * x + y * y))) / a
+        out = lam.max(axis=0)
         return float(out[0]) if single else out
 
     @property

@@ -167,11 +167,12 @@ def test_nd_far_needs_a_norm(capsys, specs_dir, mode):
     assert code == 2 and "%s mode needs a norm spec, not a sampled curve" % mode in err
 
 
-def test_nd_far_off_sphere_point_is_named(capsys, specs_dir):
-    # z passes the 1e-6 unit check but lies 5e-7 off the hexagon: the error names the point
+def test_nd_far_accepts_a_point_within_the_on_curve_tolerance(capsys, specs_dir):
+    # z lies 5e-7 off the hexagon in its norm: the unit check and locate both accept it
     code, out, err = _run(capsys, "nd", "--spec", str(specs_dir / "hexagonal.json"),
                           "--mode", "far", "--points=-0.5,0.5;1.0000005,0.50000025")
-    assert (code, out, err) == (2, "", "error: point does not lie on the curve\n")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["entries"][0]["z"] == [1.0000005, 0.50000025]
 
 
 def test_nd_metric_rejects_symmetric_sampled_curve(capsys, tmp_path, double_drop):

@@ -7,12 +7,13 @@ import pytest
 from scipy.optimize import brentq
 
 from normplane import norms
-from normplane.diffdetect import _oracle_status, far_field_profile
+from normplane.diffdetect import _check_unit, _oracle_status, far_field_profile
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
 from normplane.corpus import PUSH_MATRIX, corpus_norms, double_drop_curve, drop_curve
 from normplane import curves
 from normplane.curves import (
+    ON_CURVE_TOL,
     NaturalParam,
     _as_curve,
     _as_param,
@@ -371,7 +372,7 @@ def test_on_curve_residual(corpus, drop):
         on = v / np.asarray(norm.value(v))[:, None]
         assert _on_curve_residual(unit_sphere(norm), on) <= 1e-15, name
         assert _on_curve_residual(unit_sphere(norm), on * (1 + 1e-5)) == pytest.approx(1e-5, rel=1e-6)
-    # sampled polygons: Euclidean distance to the nearest edge
+    # sampled polygons: distance to the nearest edge in the ambient norm, l1 here
     assert _on_curve_residual(drop, [[1.0, 1.0], [0.0, -1.0], [1.0, 0.3]]) <= 1e-16
     assert _on_curve_residual(drop, [1.0 + 5e-7, 0.5]) == pytest.approx(5e-7, abs=1e-15)
     assert _on_curve_residual(drop, [[1.0, 0.5], [0.5, 1.0 - 2e-6]]) == pytest.approx(2e-6, abs=1e-15)
@@ -860,12 +861,88 @@ def test_off_curve_basepoint_raises_at_construction(curve, basepoint):
 
 def test_off_curve_point_is_named_by_locate(drop):
     # locate blames the point it was given; only a bad basepoint blames the basepoint
-    for curve, off in ((unit_sphere(Hexagonal()), (1.0000005, 0.50000025)),
+    for curve, off in ((unit_sphere(Hexagonal()), (1.000005, 0.5000025)),
                        (drop, (1.0, 1.001))):
         with pytest.raises(PreconditionError, match="^point does not lie on the curve$"):
             build_natural_param(curve).locate(np.array(off))
         with pytest.raises(PreconditionError, match="^basepoint does not lie on the curve$"):
             build_natural_param(curve, off)
+
+
+def test_one_on_curve_tolerance_in_the_ambient_norm(drop):
+    # a point 0.9 * ON_CURVE_TOL off the curve in its ambient norm is on it for locate,
+    # _on_curve_residual and the far-field unit check alike; one 1.1 times that is off.
+    # On the drop's arc at 45 degrees its l1 offset is sqrt(2) times the Euclidean one
+    diag = np.array([-1.0, -1.0]) / math.sqrt(2.0)
+    for curve, on, out in ((unit_sphere(Hexagonal()), (1.0, 0.5), (1.0, 0.0)),
+                           (unit_sphere(PNorm(2.0)), (0.6, 0.8), (0.6, 0.8)),
+                           (drop, diag, diag / math.sqrt(2.0))):
+        param = build_natural_param(curve)
+        for scale in (0.9, 1.1):
+            p = np.add(on, scale * ON_CURVE_TOL * np.asarray(out))
+            assert (_on_curve_residual(curve, p) <= ON_CURVE_TOL) == (scale < 1.0)
+            if scale < 1.0:
+                param.locate(p)
+                continue
+            with pytest.raises(PreconditionError):
+                param.locate(p)
+            if curve.kind == "sphere":
+                with pytest.raises(PreconditionError):
+                    _check_unit(curve.norm, p, "z")
+
+
+# -- the mirrored half-turn table ---------------------------------------------
+
+
+def _full_turn_period(norm, basepoint, resolution):
+    # the table as it was built over the full turn: chords between unit points
+    # at `resolution` equal angles from the basepoint, with every corner a knot
+    phi_b = math.atan2(basepoint[1], basepoint[0])
+    corners = norm.structure().corners
+    rel_c = np.mod(np.arctan2(corners[:, 1], corners[:, 0]) - phi_b, 2.0 * math.pi)
+    rel = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
+    rel = np.unique(np.concatenate([rel, rel_c, [0.0]]))
+    for c in rel_c:
+        rel = rel[~((np.abs(rel - c) < 1e-12) & (rel != c))]
+    pts = norm.unit_point(phi_b + np.append(rel, 2.0 * math.pi))
+    pts[0] = pts[-1] = basepoint
+    return float(np.sum(norm.value(np.diff(pts, axis=0))))
+
+
+MIRROR_CASES = [(name, "default", 16384) for name in CURVED]
+MIRROR_CASES += [(name, "generic", 16384) for name in CURVED]
+MIRROR_CASES += [(name, "corner", 16384) for name in ("lens", "sixdisk", "lens_push", "sixdisk_push")]
+MIRROR_CASES += [(name, "default", 2048) for name in CURVED]
+
+
+@pytest.mark.parametrize("name, base, resolution", MIRROR_CASES)
+def test_table_is_a_mirrored_half_turn(corpus, name, base, resolution):
+    norm = corpus[name]
+    corners = norm.structure().corners
+    basepoint = None
+    if base == "generic":
+        basepoint = norm.unit_point(2.2)
+    elif base == "corner":
+        basepoint = corners[0]
+    p = NaturalParam(unit_sphere(norm), basepoint, resolution)
+    h = (len(p.knots_p) - 1) // 2
+    assert len(p.knots_p) == 2 * h + 1 and h >= resolution // 2
+    assert np.array_equal(p.knots_p[h:-1], -p.knots_p[:h])
+    assert np.array_equal(p.knots_p[-1], p.knots_p[0])
+    assert np.array_equal(p.knots_t[h:-1], p.knots_t[:h] + p.period / 2.0)
+    assert p.knots_t[-1] == p.period
+    # every corner is a knot, in both halves, with its own one-sided tangents
+    assert len(p.corner_ts) == len(corners)
+    assert np.isin(p.corner_ts, p.knots_t).all()
+    for t in p.corner_ts:
+        gap = np.abs(corners - p.knots_p[np.searchsorted(p.knots_t, t)]).max(axis=1)
+        j = int(np.argmin(gap))
+        info = p.side_derivative_info(t)
+        assert gap[j] <= 1e-12 and info.exact
+        assert np.array_equal(info.left, norm.structure().corner_in[j])
+        assert np.array_equal(info.right, norm.structure().corner_out[j])
+    start = norm.unit_point(0.0) if basepoint is None else basepoint
+    assert p.period == pytest.approx(_full_turn_period(norm, start, resolution), rel=1e-12)
 
 
 # -- one owner per piece of sphere geometry ----------------------------------

@@ -91,6 +91,17 @@ def test_disk_intersection_matches_per_disk_gauge():
         assert lens.value(v) == pytest.approx(oracle(v), rel=1e-12)
 
 
+def test_value_rows_do_not_depend_on_their_batch(corpus):
+    # a row's value is the same bits in a 4096-row batch as alone; Pushforward's
+    # matrix product is a BLAS call, whose rounding may depend on the batch
+    vs = np.random.default_rng(19).normal(size=(4096, 2))
+    for name, norm in corpus.items():
+        if isinstance(norm, Pushforward):
+            continue
+        alone = np.array([norm.value(v) for v in vs])
+        assert np.array_equal(norm.value(vs), alone), name
+
+
 @pytest.mark.parametrize(
     "norm, expected",
     [

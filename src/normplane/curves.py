@@ -322,15 +322,23 @@ class NaturalParam:
     def point_at(self, t):
         """Curve point at parameter t (any shape; values taken mod period)."""
         t = np.asarray(t, dtype=float)
-        single = t.ndim == 0
-        tm = np.mod(t.reshape(-1), self.period)
-        i = np.clip(np.searchsorted(self.knots_t, tm, side="right") - 1, 0, len(self._seg_len) - 1)
-        u = (tm - self.knots_t[i]) / self._seg_len[i]
-        p = self.knots_p[i] * (1 - u)[:, None] + self.knots_p[i + 1] * u[:, None]
+        # np.mod(t, period) bit for bit: fmod's remainder, which is exact, plus the
+        # period when negative; adding 0.0 turns fmod's -0.0 into 0.0 as np.mod does
+        tm = np.fmod(t.reshape(-1), self.period)
+        np.add(tm, self.period, out=tm, where=tm < 0.0)
+        tm += 0.0
+        i = np.searchsorted(self.knots_t, tm, side="right")
+        i -= 1
+        np.minimum(i, len(self._seg_len) - 1, out=i)  # at t = L; i >= 0 as tm >= 0
+        u = self.knots_t[i]
+        np.subtract(tm, u, out=u)
+        u /= self._seg_len[i]
+        p = np.take(self.knots_p, i, axis=0)
+        p *= (1.0 - u)[:, None]
+        p += np.take(self.knots_p, i + 1, axis=0) * u[:, None]
         if not self._polygonal:
-            p = p / np.asarray(self.ambient.value(p))[:, None]
-        p = p.reshape(t.shape + (2,)) if not single else p[0]
-        return p
+            p /= np.asarray(self.ambient.value(p))[:, None]
+        return p[0] if t.ndim == 0 else p.reshape(t.shape + (2,))
 
     def locate(self, point):
         """Parameter of a point lying on the curve."""

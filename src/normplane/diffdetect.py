@@ -125,12 +125,15 @@ class MetricView:
 
     sample is a base net of curve points in circular curve order whose
     antipodes are exactly in the net.  dist broadcasts the ambient
-    distance over leading axes, antipode_map sends a curve point to its
-    antipode, and ball_sampler(center, radius) returns curve points in
-    curve order covering an arc of the given radius around a given curve
-    point at spacing radius/100; given an array of radii it returns one
-    row of points per radius, shape radius.shape + (points, 2).  spacing
-    records the base net's arc step.  Order along the sphere is a
+    distance over leading axes.  antipode_map sends an array of curve
+    points to their antipodes; it is an isometry of the plane that maps
+    the sphere onto itself.  ball_sampler(center, radius) returns curve
+    points in curve order covering an arc of the given radius around a
+    given curve point at spacing radius/100; given an array of radii it
+    returns one row of points per radius, shape radius.shape + (points, 2).
+    The sampler commutes with the antipode map bit for bit:
+    ball_sampler(antipode_map(c), r) == antipode_map(ball_sampler(c, r)).
+    spacing records the base net's arc step.  Order along the sphere is a
     property of the metric space, so the metric classifiers may use it.
     """
 
@@ -159,17 +162,19 @@ def build_metric_view(obj, base_spacing=None):
     def antipode_map(p):
         return -np.asarray(p, dtype=float)
 
-    located = {}  # the last two centers' parameters: a target and its antipode
+    located = [None, None]  # the last center's upper-half representative and its parameter
 
     def ball_sampler(center, radius):
+        # sample around the representative of +-center with y > 0, or y == 0 and x > 0,
+        # and negate the rows for the other sign: antipode-equivariant bit for bit
         center = np.asarray(center, dtype=float)
-        key = center.tobytes()
-        if key not in located:
-            if len(located) == 2:
-                del located[next(iter(located))]
-            located[key] = param.locate(center)
+        sign = 1.0 if center[1] > 0.0 or (center[1] == 0.0 and center[0] > 0.0) else -1.0
+        rep = sign * center
+        if located[0] != rep.tobytes():
+            located[:] = rep.tobytes(), param.locate(rep)
         radius = np.asarray(radius, dtype=float)[..., None]
-        return param.point_at(located[key] + (radius / 100.0) * _SAMPLER_STEPS)
+        rows = param.point_at(located[1] + (radius / 100.0) * _SAMPLER_STEPS)
+        return rows if sign > 0.0 else -rows
 
     return MetricView(sample=sample, dist=dist, antipode_map=antipode_map,
                       ball_sampler=ball_sampler, spacing=param.period / n)
@@ -188,19 +193,18 @@ def _arc_ends(d, eps, circular):
     ends.
     """
     eps = np.asarray(eps, dtype=float)[:, None]
-    if circular:
-        idx = np.flatnonzero(d <= eps.max())
-        d, before, after = d[idx], d[idx - 1], d[(idx + 1) % len(d)]
-    else:
-        idx = np.arange(d.shape[-1])
-        pad = np.full(d.shape[:-1] + (1,), np.inf)
-        before = np.concatenate([pad, d[..., :-1]], axis=-1)
-        after = np.concatenate([d[..., 1:], pad], axis=-1)
 
     def inside(a):
         return (a > 1e-12) & (a <= eps)
 
-    return idx, inside(d) & ~(inside(before) & inside(after))
+    if circular:
+        idx = np.flatnonzero(d <= eps.max())
+        return idx, inside(d[idx]) & ~(inside(d[idx - 1]) & inside(d[(idx + 1) % len(d)]))
+    # each row's booleans once, shifted: a point is interior when both neighbours are in
+    rows = inside(d)
+    interior = np.zeros_like(rows)
+    interior[..., 1:-1] = rows[..., :-2] & rows[..., 2:]
+    return np.arange(d.shape[-1]), rows & ~interior
 
 
 def _check_eps(levels):
@@ -208,8 +212,8 @@ def _check_eps(levels):
         raise PreconditionError("eps levels must be below 1, or the arcs around x and -x meet")
 
 
-def _level_chords(dist, sample, x, ax, batches, ball_sampler):
-    """(eps, chord, u, v) per level: the shortest chord between the eps-arcs of x and ax.
+def _level_chords(dist, sample, x, antipode_map, batches, ball_sampler):
+    """(eps, chord, u, v) per level: the shortest chord between the eps-arcs of x and -x.
 
     For fixed u the distance to v does not decrease as v runs along the
     sphere from u to -u (the monotonicity lemma of normed planes).  For
@@ -217,28 +221,29 @@ def _level_chords(dist, sample, x, ax, batches, ball_sampler):
     of one arc to an end of the other, and only run ends are compared:
     circular runs of the net, linear runs of the ball sampler's points.
     Rounding at d == eps can split a run, and the center point itself is
-    left out, so every run end is kept.  The net is measured once per
-    side.  batches is a sequence of level sequences; per batch and side
-    the sampler is called once with all its radii and its points are
-    measured once.  The chords of a level are computed only when the
-    caller asks for that level.
+    left out, so every run end is kept.  Only the arc around x is
+    sampled and measured: the antipode map is an isometry that carries
+    the sphere, the net and the sampler's points around x onto those
+    around -x, so the run ends around -x are the antipodes V of the run
+    ends U around x.  The net is measured once.  batches is a sequence of
+    level sequences; per batch the sampler is called once with all its
+    radii and its points are measured once.  The chords of a level are
+    computed only when the caller asks for that level.
     """
-    sides = [(c, dist(sample, c)) for c in (x, ax)]
+    d_net = dist(sample, x)
     for levels in batches:
         if len(levels) == 0:
             continue
         radii = np.asarray(levels, dtype=float)
-        runs = []
-        for center, d_net in sides:
-            ball = ball_sampler(center, radii)
-            net_idx, net_ends = _arc_ends(d_net, radii, circular=True)
-            _, ball_ends = _arc_ends(dist(ball, center), radii, circular=False)
-            runs.append((sample[net_idx], net_ends, ball, ball_ends))
+        ball = ball_sampler(x, radii)
+        net_idx, net_ends = _arc_ends(d_net, radii, circular=True)
+        _, ball_ends = _arc_ends(dist(ball, x), radii, circular=False)
+        net = sample[net_idx]
         for k, eps in enumerate(levels):
-            U, V = (np.concatenate([net[net_ends[k]], ball[k][ball_ends[k]]])
-                    for net, net_ends, ball, ball_ends in runs)
-            if len(U) == 0 or len(V) == 0:
+            U = np.concatenate([net[net_ends[k]], ball[k][ball_ends[k]]])
+            if len(U) == 0:
                 raise PreconditionError("sample too coarse for eps = %g" % eps)
+            V = np.asarray(antipode_map(U), dtype=float)
             chords = dist(U[:, None, :], V[None, :, :])
             i, j = np.unravel_index(int(np.argmin(chords)), chords.shape)
             yield float(eps), float(chords[i, j]), U[i], V[j]
@@ -266,10 +271,9 @@ def metric_nd_test(dist, antipode_map, sample, x, delta, eps_grid=EPS_GRID, *, b
     """
     _check_eps(eps_grid)
     x = np.asarray(x, dtype=float)
-    ax = np.asarray(antipode_map(x), dtype=float)
     transcript = []
     passed = True
-    for eps, best, u, v in _level_chords(dist, sample, x, ax, (eps_grid,), ball_sampler):
+    for eps, best, u, v in _level_chords(dist, sample, x, antipode_map, (eps_grid,), ball_sampler):
         hit = best <= 2.0 - delta * eps
         transcript.append((eps, u, v, best, bool(hit)))
         passed = passed and hit
@@ -314,11 +318,10 @@ def _eps_batches(eps_grid):
 
 
 def _classify_point(dist, antipode_map, sample, x, delta_grid, batches, ball_sampler):
-    ax = np.asarray(antipode_map(x), dtype=float)
     alive = {d: True for d in delta_grid}       # safe-passed every level so far
     safe_fail = {d: False for d in delta_grid}  # some level safely refused a witness
     transcript = []
-    for eps, best, u, v in _level_chords(dist, sample, x, ax, batches, ball_sampler):
+    for eps, best, u, v in _level_chords(dist, sample, x, antipode_map, batches, ball_sampler):
         noise = _NOISE_FACTOR * eps
         transcript.append((eps, u, v, best, bool(best <= 2.0 - min(delta_grid) * eps)))
         for d in delta_grid:

@@ -387,10 +387,11 @@ class PolygonGauge(Norm):
             if cross2(a, b) <= 1e-12:
                 raise SpecError(_path, "origin must lie strictly inside the polygon")
         self._w = w
-        self._angles = np.arctan2(w[:, 1], w[:, 0])
-        nxt = np.roll(w, -1, axis=0)
-        self._edges = nxt - w
-        self._dens = cross2(w, nxt)
+        # edge e_j = w_(j+1) - w_j of the first half and its opposite bound the slab
+        # |f_j| <= 1, f_j(v) = (v x e_j) / (w_j x w_(j+1)); columns for a leading axis
+        h = k // 2
+        e = w[1:h + 1] - w[:h]
+        self._slabs = (e[:, 0], e[:, 1], cross2(w[:h], w[1:h + 1]))
 
     @property
     def vertices(self):
@@ -398,11 +399,11 @@ class PolygonGauge(Norm):
 
     def value(self, v):
         arr, single = _as_batch(v)
-        phi = np.arctan2(arr[..., 1], arr[..., 0])
-        idx = np.searchsorted(self._angles, phi, side="right") - 1
-        idx = np.where(idx < 0, len(self._w) - 1, idx)
-        e = self._edges[idx]
-        out = (arr[..., 0] * e[..., 1] - arr[..., 1] * e[..., 0]) / self._dens[idx]
+        x, y = arr[..., 0], arr[..., 1]
+        # the ball is the intersection of the slabs, so the gauge is max |f_j|: even bit for bit
+        lead = (-1,) + (1,) * x.ndim
+        e0, e1, dens = (col.reshape(lead) for col in self._slabs)
+        out = (np.abs(x * e1 - y * e0) / dens).max(axis=0)
         return float(out[0]) if single else out
 
     @property
@@ -480,23 +481,29 @@ class DiskIntersection(Norm):
         if np.any(norms >= r - 1e-9):
             bad = int(np.argmax(norms))
             raise SpecError(f"{_path}.centers[{bad}]", "every disk must contain the origin strictly")
+        half = []  # one disk of each antipodal pair: the one before its partner
         for i in range(len(c)):
             d = np.hypot(c[:, 0] + c[i, 0], c[:, 1] + c[i, 1])
             if d.min() > 1e-9:
                 raise SpecError(f"{_path}.centers[{i}]", "center set must be symmetric about the origin")
+            if i <= int(np.argmin(d)):
+                half.append(i)
         self.centers = c
         self.radius = r
-        self._a = r * r - norms ** 2  # per-disk positive constant
+        # columns of the half's centers and per-disk positive constants r^2 - |c|^2
+        self._pairs = (c[half, 0], c[half, 1], r * r - norms[half] ** 2)
 
     def value(self, v):
         arr, single = _as_batch(v)
         x, y = arr[..., 0], arr[..., 1]
         # the disks on a leading axis and products taken elementwise: numpy runs
-        # one long loop per array op, and no row's value depends on its batch
+        # one long loop per array op, and no row's value depends on its batch.
+        # The gauges of the disks at c and -c are (-+b + root) / a with b = c.v,
+        # so a pair's larger one takes |b|: the gauge is even bit for bit
         lead = (-1,) + (1,) * x.ndim
-        c0, c1, a = (w.reshape(lead) for w in (self.centers[:, 0], self.centers[:, 1], self._a))
-        b = c0 * x + c1 * y
-        lam = (-b + np.sqrt(b * b + a * (x * x + y * y))) / a
+        c0, c1, a = (col.reshape(lead) for col in self._pairs)
+        b = np.abs(c0 * x + c1 * y)
+        lam = (b + np.sqrt(b * b + a * (x * x + y * y))) / a
         out = lam.max(axis=0)
         return float(out[0]) if single else out
 

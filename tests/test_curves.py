@@ -475,6 +475,38 @@ def test_antipode_params(params):
             assert np.allclose(p.point_at(s), -p.point_at(float(t)), atol=1e-8), name
 
 
+def _point_at_reference(param, t):
+    # the interpolation point_at computes, over every knot with np.mod and np.clip
+    t = np.asarray(t, dtype=float)
+    tm = np.mod(t.reshape(-1), param.period)
+    i = np.clip(np.searchsorted(param.knots_t, tm, side="right") - 1, 0, len(param._seg_len) - 1)
+    u = (tm - param.knots_t[i]) / param._seg_len[i]
+    p = param.knots_p[i] * (1 - u)[:, None] + param.knots_p[i + 1] * u[:, None]
+    if not param._polygonal:
+        p = p / np.asarray(param.ambient.value(p))[:, None]
+    return p.reshape(t.shape + (2,)) if t.ndim else p[0]
+
+
+def test_point_at_matches_the_reference_bit_for_bit(params, corpus, drop):
+    # one turn either side of [0, L), far turns, a ball sampler's sorted
+    # rows, scalars and the edge values L, -1e-300 and -0.0, the last also
+    # on a table whose first knot has a negative zero
+    rng = np.random.default_rng(31)
+    rows = np.array([0.2, 0.1, 0.05, 0.0125])[:, None] / 100.0 * np.arange(-105, 106)
+    signed_zero = build_natural_param(corpus["l2"], basepoint=(1.0, -0.0))
+    for name, p in dict(params, drop=build_natural_param(drop), signed_zero=signed_zero).items():
+        L = p.period
+        cases = [rng.uniform(0.0, L, 400), rng.uniform(-L, 2.0 * L, 400),
+                 rng.uniform(-50.0, 50.0, 400), rng.uniform(0.0, L, (3, 5)),
+                 L, -1e-300, 0.0, -0.0, -L, 2.0 * L, float(rng.uniform(0.0, L)),
+                 np.array([L, -1e-300, 0.0, -0.0]), np.zeros(0)]
+        for t0 in np.concatenate([[0.0, 1e-3, L - 1e-3], rng.uniform(0.0, L, 4), p.corner_params()]):
+            cases.append(t0 + rows)
+        for t in cases:
+            got, want = p.point_at(t), _point_at_reference(p, t)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, np.shape(t))
+
+
 def test_shift_point_on_polygon_is_exact(params):
     p = params["hexagonal"]
     start = np.array([1.0, 0.0])

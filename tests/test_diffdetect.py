@@ -189,7 +189,8 @@ def test_run_end_search_matches_exhaustive_chords(params):
         ts = np.concatenate([p.corner_params(), rng.uniform(0.0, p.period, 8)])
         for x in p.point_at(ts):
             ax = view.antipode_map(x)
-            got = list(_level_chords(view.dist, view.sample, x, ax, batches, view.ball_sampler))
+            got = list(_level_chords(view.dist, view.sample, x, view.antipode_map, batches,
+                                     view.ball_sampler))
             assert [g[0] for g in got] == list(extended_eps_levels())
             for eps, chord, u, v in got:
                 worst = max(worst, abs(chord - _exhaustive_chord(view, x, eps)))
@@ -210,7 +211,8 @@ def test_batched_levels_match_the_per_level_search(params, grid):
         ts = np.concatenate([p.corner_params(), rng.uniform(0.0, p.period, 8)])
         for x in p.point_at(ts):
             ax = view.antipode_map(x)
-            got = list(_level_chords(view.dist, view.sample, x, ax, batches, view.ball_sampler))
+            got = list(_level_chords(view.dist, view.sample, x, view.antipode_map, batches,
+                                     view.ball_sampler))
             want = list(_level_chords_per_level(view.dist, view.sample, x, ax,
                                                 extended_eps_levels(grid), view.ball_sampler))
             assert len(got) == len(want) == len(extended_eps_levels(grid)), name
@@ -251,8 +253,8 @@ def test_arc_ends_windowed_net_run_wraps():
 
 
 def test_metric_route_compares_run_ends_only(params):
-    # per target: the net once per side, the sampler's points and at most
-    # 16 x 16 run-end pairs per level, never the full chord matrix
+    # per target: the net once, from x only, the sampler's points around x
+    # and at most 16 x 16 run-end pairs per level, never the full chord matrix
     view = _view(params["hexagonal"])
     pairs = [0]
 
@@ -265,11 +267,11 @@ def test_metric_route_compares_run_ends_only(params):
                              targets=np.array([[0.0, 1.0]]), ball_sampler=view.ball_sampler)
     assert rep.statuses() == ["corner"]
     levels_run = len(rep.entries[0].transcript)
-    assert pairs[0] <= 2 * len(view.sample) + 2 * 211 * levels_run + 256 * levels_run
+    assert pairs[0] <= len(view.sample) + 211 * levels_run + 256 * levels_run
 
 
 def test_ball_sampler_locates_each_center_once(corpus, monkeypatch):
-    # a target and its antipode are located once each, not once per level
+    # each target is located once, not once per level, and its antipode never
     param = build_natural_param(unit_sphere(corpus["l3_push"]))
     view = _view(param)
     calls = [0]
@@ -284,13 +286,13 @@ def test_ball_sampler_locates_each_center_once(corpus, monkeypatch):
     rep = nd_classify_metric(view.dist, view.antipode_map, view.sample,
                              targets=targets, ball_sampler=view.ball_sampler)
     assert min(len(e.transcript) for e in rep.entries) > 2
-    assert calls[0] == 2 * len(targets)
+    assert calls[0] == len(targets)
 
 
 def test_levels_are_sampled_in_two_batches(params):
-    # per side, one sampler call with the grid's radii and one with its
-    # extension's; a smooth point decided inside the grid never samples
-    # the extension, and the metric test reads its grid in one batch
+    # around x only, one sampler call with the grid's radii and one with
+    # its extension's; a smooth point decided inside the grid never
+    # samples the extension, and the metric test reads its grid in one batch
     grid, extension = len(EPS_GRID), len(extended_eps_levels()) - len(EPS_GRID)
     calls = []
 
@@ -301,8 +303,8 @@ def test_levels_are_sampled_in_two_batches(params):
         return sampler
 
     for name, x, status, want in (
-            ("hexagonal", [0.0, 1.0], "corner", [(grid,)] * 2 + [(extension,)] * 2),
-            ("l2", [1.0, 0.0], "smooth", [(grid,)] * 2)):
+            ("hexagonal", [0.0, 1.0], "corner", [(grid,), (extension,)]),
+            ("l2", [1.0, 0.0], "smooth", [(grid,)])):
         view = _view(params[name])
         calls.clear()
         rep = nd_classify_metric(view.dist, view.antipode_map, view.sample,
@@ -313,7 +315,7 @@ def test_levels_are_sampled_in_two_batches(params):
     calls.clear()
     metric_nd_test(view.dist, view.antipode_map, view.sample, np.array([1.0, 0.0]), 0.5,
                    ball_sampler=counting(view))
-    assert calls == [(grid,)] * 2
+    assert calls == [(grid,)]
 
 
 def test_ball_sampler_takes_an_array_of_radii(params):
@@ -326,6 +328,26 @@ def test_ball_sampler_takes_an_array_of_radii(params):
     for r, row in zip(radii, rows):
         assert row.tobytes() == view.ball_sampler(x, float(r)).tobytes()
     assert view.ball_sampler(x, 0.1).shape == (211, 2)
+
+
+def test_ball_sampler_commutes_with_the_antipode_map(corpus, params):
+    # ball_sampler(-c, r) == -ball_sampler(c, r) bit for bit, at every corner,
+    # 50 seeded points and the point on the positive x-axis with either sign
+    # of zero; each side's rows stay centered on its own center
+    rng = np.random.default_rng(73)
+    radii = np.array(extended_eps_levels())
+    for name, p in params.items():
+        view = _view(p)
+        e = corpus[name].unit_point(0.0)
+        centers = np.concatenate([p.point_at(p.corner_params()).reshape(-1, 2),
+                                  p.point_at(rng.uniform(0.0, p.period, 50)),
+                                  [e, [e[0], -0.0]]])
+        for c in centers:
+            for r in (radii, 0.1):
+                rows = view.ball_sampler(c, r)
+                flipped = view.ball_sampler(view.antipode_map(c), r)
+                assert flipped.tobytes() == (-rows).tobytes(), name
+                assert np.abs(rows[..., 105, :] - c).max() <= 1e-6, name
 
 
 def test_metric_route_needs_eps_below_one(params):

@@ -102,6 +102,46 @@ def test_value_rows_do_not_depend_on_their_batch(corpus):
         assert np.array_equal(norm.value(vs), alone), name
 
 
+def test_every_corpus_norm_is_even_bit_for_bit(corpus):
+    # value(-v) == value(v) to the last bit: on seeded rows, on the corners
+    # and corner tangents at several scales, and on rows on either axis
+    # with either sign of zero
+    rng = np.random.default_rng(23)
+    rows = rng.normal(size=(100000, 2))
+    free = rng.normal(size=64)
+    for zero in (0.0, -0.0):
+        rows = np.concatenate([rows, np.column_stack([free, np.full(64, zero)]),
+                               np.column_stack([np.full(64, zero), free])])
+    for name, norm in corpus.items():
+        s = norm.structure()
+        dirs = np.concatenate([s.corners, s.corner_in, s.corner_out]).reshape(-1, 2)
+        vs = np.concatenate([rows] + [c * dirs for c in (1.0, 0.37, 3.3, 1e-3)])
+        assert norm.value(-vs).tobytes() == norm.value(vs).tobytes(), name
+
+
+def test_half_of_each_symmetric_body_gives_the_gauge(corpus):
+    # the one-per-pair gauges equal the maximum over every disk, and over
+    # every edge functional of a polygon, to rounding
+    vs = np.random.default_rng(29).normal(size=(20000, 2))
+    checked = 0
+    for name, norm in corpus.items():
+        if isinstance(norm, DiskIntersection):
+            c, r = norm.centers, norm.radius
+            a = r * r - (c ** 2).sum(axis=1)
+            b = vs @ c.T
+            want = ((-b + np.sqrt(b * b + a * (vs ** 2).sum(axis=1)[:, None])) / a).max(axis=1)
+        elif isinstance(norm, PolygonGauge):
+            w = norm.vertices
+            nxt = np.roll(w, -1, axis=0)
+            e, dens = nxt - w, w[:, 0] * nxt[:, 1] - w[:, 1] * nxt[:, 0]
+            want = ((vs[:, :1] * e[:, 1] - vs[:, 1:] * e[:, 0]) / dens).max(axis=1)
+        else:
+            continue
+        checked += 1
+        assert np.max(np.abs(norm.value(vs) / want - 1.0)) <= 1e-15, name
+    assert checked == 3
+
+
 @pytest.mark.parametrize(
     "norm, expected",
     [

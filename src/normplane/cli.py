@@ -88,11 +88,18 @@ def _parse_vec(text, what="vector"):
         raise InputError("%s: %s" % (what, exc)) from exc
 
 
-def _parse_grid(text, what):
+def _parse_number(text, what):
     try:
-        vals = tuple(float(p) for p in text.split(",") if p.strip())
+        val = float(text)
     except ValueError as exc:
         raise InputError("%s: %s" % (what, exc)) from exc
+    if not math.isfinite(val):
+        raise InputError("%s must be finite, got %r" % (what, text))
+    return val
+
+
+def _parse_grid(text, what):
+    vals = tuple(_parse_number(p, what) for p in text.split(",") if p.strip())
     if not vals or any(v <= 0 for v in vals):
         raise InputError("%s must be a nonempty list of positive numbers" % what)
     return vals
@@ -341,7 +348,7 @@ def _distortion_histogram(profile):
 
 
 def _independent_param(param):
-    """Parameter whose point is most transverse to the basepoint ray."""
+    """Parameter whose point is most transverse to the ray through point_at(0)."""
     L = param.period
     p0 = param.point_at(0.0)
     cands = np.linspace(0.05 * L, 0.45 * L, 9)
@@ -496,8 +503,8 @@ def _overlay_prims(name, rest, param):
         if norm is None:
             raise InputError("triples needs a norm spec")
         parts = [p for p in rest.split(",") if p] if rest else []
-        target = float(parts[0]) if parts else 2.0
-        margin = float(parts[1]) if len(parts) > 1 else 1e-3
+        target = _parse_number(parts[0], "triples target") if parts else 2.0
+        margin = _parse_number(parts[1], "triples margin") if len(parts) > 1 else 1e-3
         res = equilateral_triples(param, target, margin)
         for triple in res.triples:
             tri = np.asarray(triple, dtype=float)
@@ -615,12 +622,10 @@ def main(argv=None):
         # argparse exits 2 on bad flags already; keep that contract
         return int(exc.code or 0)
     try:
-        if getattr(args, "resolution", None) is not None and args.resolution <= 0:
-            raise InputError("--resolution must be positive")
-        if getattr(args, "samples", None) is not None and args.samples <= 0:
-            raise InputError("--samples must be positive")
-        if getattr(args, "tol", None) is not None and args.tol <= 0:
-            raise InputError("--tol must be positive")
+        for flag in ("resolution", "targets", "samples", "tol"):
+            val = getattr(args, flag, None)
+            if val is not None and not 0 < val < math.inf:
+                raise InputError("--%s must be finite and positive" % flag)
         return args.fn(args)
     except (InputError, SpecError, PreconditionError) as exc:
         print("error: %s" % exc, file=sys.stderr)

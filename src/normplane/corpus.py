@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .curves import sampled_curve, unit_sphere
+from .curves import sampled_curve
 from .norms import DiskIntersection, Hexagonal, PNorm, PolygonGauge, Pushforward
 
 PUSH_MATRIX = np.array([[1.2, 0.4], [-0.2, 0.9]])
@@ -55,10 +55,6 @@ def corpus_norms():
     for name, norm in list(out.items()):
         out[name + "_push"] = Pushforward(norm, PUSH_MATRIX)
     return out
-
-
-def corpus_curves():
-    return {name: unit_sphere(norm) for name, norm in corpus_norms().items()}
 
 
 def drop_curve():

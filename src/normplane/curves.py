@@ -3,8 +3,9 @@
 A curve is either the unit sphere of a norm or a sampled convex polygon
 with an ambient norm attached.  The natural parameterization is
 anticlockwise, unit speed in the ambient norm, periodic with period the
-self-circumference, and anchored so parameter zero sits at the chosen
-basepoint.
+self-circumference, and starts at a fixed point: a polygon's first
+vertex in angle order, a sampled curve's first point, or the point at
+polar angle 0 on any other sphere.
 
 Polygonal curves are handled exactly: breakpoints are the vertices,
 segments are linear, and side derivatives come straight from edge
@@ -35,6 +36,8 @@ TWO_PI = 2.0 * math.pi
 # farthest a point may lie from a curve, in the ambient norm, and still be on it: |norm(p) - 1|
 # on a unit sphere, the ambient length of p's offset from its nearest edge on a polygon
 ON_CURVE_TOL = 1e-6
+# knots of a full turn of a sphere table that is not a polygon, corners aside
+_TABLE_KNOTS = 16384
 
 __all__ = [
     "ConvexCurve",
@@ -204,114 +207,76 @@ def _one_sided(f0, ahead, behind):
 class NaturalParam:
     """Arc-length parameterization of a convex curve in its ambient norm.
 
-    A given basepoint is checked at construction: one off the curve
-    raises PreconditionError there.  The table itself (the knots, the
-    period and the corners) is built on the first read of any of them,
-    so a param that is never read costs no norm evaluation beyond that
-    check.
+    Parameter zero sits at a fixed point: a polygon's first vertex in
+    angle order (a sampled curve's first point), and the point at polar
+    angle 0 on any other sphere.  The table (the knots, the period and
+    the corners) is built on the first read of any of them, so a param
+    that is never read evaluates no norm.
     """
 
-    def __init__(self, curve, basepoint=None, resolution=16384):
+    def __init__(self, curve):
         self.curve = curve
         self.ambient = curve.ambient
-        if basepoint is not None:
-            basepoint = np.asarray(basepoint, dtype=float)
-            if curve.is_polygonal:
-                self._project_polygon(curve._edges(), basepoint, "basepoint")
-            elif abs(float(curve.norm.value(basepoint)) - 1.0) > ON_CURVE_TOL:
-                raise PreconditionError("basepoint does not lie on the unit sphere")
-        self._pending = (basepoint, resolution)
+        self._pending = True
 
     def __getattr__(self, name):
         # only reached for an attribute not yet set: build the table once, then read it
-        pending = None if name.startswith("__") else self.__dict__.pop("_pending", None)
-        if pending is None:
+        if name.startswith("__") or not self.__dict__.pop("_pending", False):
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
         self._struct = self.curve.structure()
         self._polygonal = self._struct.kind == "polygonal"  # as for every sampled curve
         if self._polygonal:
-            self._build_polygon(pending[0])
+            self._build_polygon()
         else:
-            self._build_table(*pending)
+            self._build_table()
         return getattr(self, name)
 
     # -- polygon machinery -------------------------------------------------
 
-    def _build_polygon(self, basepoint):
+    def _build_polygon(self):
+        # the knots are the closed vertex cycle
         verts = self._struct.vertices
-        if basepoint is None:
-            basepoint = verts[0].copy()
-        ei, frac = self._project_polygon(self.curve._edges(), basepoint, "basepoint")
-        n = len(verts)
-        cycle = verts[(ei + 1 + np.arange(n)) % n]
-        if frac <= 1e-12:
-            self.knots_p = np.concatenate([verts[ei:ei + 1], cycle])
-        elif frac >= 1 - 1e-12:
-            self.knots_p = np.concatenate([cycle, cycle[:1]])
-        else:
-            bp = verts[ei] + frac * (verts[(ei + 1) % n] - verts[ei])
-            self.knots_p = np.concatenate([bp[None, :], cycle, bp[None, :]])
+        self.knots_p = np.concatenate([verts, verts[:1]])
         seg = np.diff(self.knots_p, axis=0)
         self._seg_len = np.asarray(self.ambient.value(seg))
         self._seg_dir = seg / self._seg_len[:, None]
         self.knots_t = np.concatenate([[0.0], np.cumsum(self._seg_len)])
         self.period = float(self.knots_t[-1])
-        self.basepoint = self.knots_p[0].copy()
-        self._knot_edges = _polygon_edges(self.knots_p[:-1])
-        self._index_corners(self.knots_p[:-1], self.knots_t[:-1])
-
-    def _project_polygon(self, edges, point, what):
-        best, s, off = _polygon_offset(edges, point, self.ambient)
-        if off > ON_CURVE_TOL:
-            raise PreconditionError("%s does not lie on the curve" % what)
-        return best, s
-
-    def _index_corners(self, pts, ts):
-        corners = self._struct.corners
-        cts, cin, cout = [], [], []
-        for k in range(len(corners)):
-            d = np.hypot(*(pts - corners[k][None, :]).T)
-            j = int(np.argmin(d))
-            if d[j] <= 1e-9:
-                cts.append(float(ts[j]))
-                cin.append(self._struct.corner_in[k])
-                cout.append(self._struct.corner_out[k])
-        order = np.argsort(cts) if cts else []
-        self.corner_ts = np.asarray([cts[i] for i in order], dtype=float)
-        self._corner_in = np.asarray([cin[i] for i in order], dtype=float).reshape(-1, 2)
-        self._corner_out = np.asarray([cout[i] for i in order], dtype=float).reshape(-1, 2)
+        # a corner's knot is its vertex index: every vertex of a polygon sphere, the
+        # unflagged points of a sampled curve, in the order structure() lists them
+        if self.curve.kind == "sampled":
+            idx = np.flatnonzero(~self.curve.smooth)
+        else:
+            idx = np.arange(len(verts))
+        self.corner_ts = self.knots_t[idx]
+        self._corner_in = self._struct.corner_in
+        self._corner_out = self._struct.corner_out
 
     # -- smooth / piecewise-arc machinery ----------------------------------
 
-    def _build_table(self, basepoint, resolution):
-        # a sphere is centrally symmetric: the half turn from phi_b is measured, then mirrored
+    def _build_table(self):
+        # a sphere is centrally symmetric: the half turn from angle 0 is measured, then mirrored
         norm = self.curve.norm
-        if basepoint is None:
-            basepoint = norm.unit_point(0.0)
-        phi_b = math.atan2(basepoint[1], basepoint[0])
         corners = self._struct.corners
-        rel_corners = np.mod(np.arctan2(corners[:, 1], corners[:, 0]) - phi_b, TWO_PI)
+        rel_corners = np.mod(np.arctan2(corners[:, 1], corners[:, 0]), TWO_PI)
         order_by_rel = np.argsort(rel_corners)
         # sorted by angle, the second half of the corners are the first half's antipodes
         half_corners = rel_corners[order_by_rel[:len(corners) // 2]]
-        rel = np.linspace(0.0, math.pi, resolution // 2, endpoint=False)
-        rel = np.unique(np.concatenate([rel, half_corners, [0.0]]))
+        rel = np.linspace(0.0, math.pi, _TABLE_KNOTS // 2, endpoint=False)
+        rel = np.unique(np.concatenate([rel, half_corners]))
         # drop grid points that crowd a corner so corners stay exact knots
         for c in half_corners:
             near = (np.abs(rel - c) < 1e-12) & (rel != c)
             rel = rel[~near]
         h = len(rel)
         self._rel = np.concatenate([rel, rel + math.pi, [TWO_PI]])
-        self._phi_b = phi_b
-        pts = norm.unit_point(phi_b + rel)
-        pts[0] = basepoint
+        pts = norm.unit_point(rel)
         self.knots_p = np.concatenate([pts, -pts, pts[:1]])
         seg = np.asarray(self.ambient.value(np.diff(self.knots_p[:h + 1], axis=0)))
         half_t = np.concatenate([[0.0], np.cumsum(seg)])
         self.knots_t = np.concatenate([half_t, half_t[1:] + half_t[-1]])
         self._seg_len = np.concatenate([seg, seg])
         self.period = 2.0 * float(half_t[-1])
-        self.basepoint = basepoint
         idx = np.searchsorted(rel, half_corners)
         self.corner_ts = self.knots_t[np.concatenate([idx, idx + h])]
         self._corner_in = self._struct.corner_in[order_by_rel]
@@ -344,11 +309,13 @@ class NaturalParam:
         """Parameter of a point lying on the curve."""
         point = np.asarray(point, dtype=float)
         if self._polygonal:
-            ei, frac = self._project_polygon(self._knot_edges, point, "point")
+            ei, frac, off = _polygon_offset(self.curve._edges(), point, self.ambient)
+            if off > ON_CURVE_TOL:
+                raise PreconditionError("point does not lie on the curve")
             return float((self.knots_t[ei] + frac * self._seg_len[ei]) % self.period)
         if abs(float(self.ambient.value(point)) - 1.0) > ON_CURVE_TOL:
             raise PreconditionError("point does not lie on the unit sphere")
-        rel = (math.atan2(point[1], point[0]) - self._phi_b) % TWO_PI
+        rel = math.atan2(point[1], point[0]) % TWO_PI
         i = int(np.clip(np.searchsorted(self._rel, rel, side="right") - 1, 0, len(self._seg_len) - 1))
         return float((self.knots_t[i] + self.ambient.value(point - self.knots_p[i])) % self.period)
 
@@ -378,14 +345,14 @@ class NaturalParam:
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
         if self._polygonal:
             return self.point_at(self.locate(anchor) + deltas)
-        r0 = (math.atan2(anchor[1], anchor[0]) - self._phi_b) % TWO_PI
+        r0 = math.atan2(anchor[1], anchor[0]) % TWO_PI
         t = np.interp(r0, self._rel, self.knots_t) + deltas
         turns = np.floor(t / self.period)
         span = np.interp(t - turns * self.period, self.knots_t, self._rel) + turns * TWO_PI - r0
         for _ in range(_NEWTON_STEPS):
             arc = self._chord_arc(r0, span)
             span = span * np.divide(deltas, arc, out=np.zeros_like(arc), where=arc != 0.0)
-        return self.curve.norm.unit_point(self._phi_b + r0 + span)
+        return self.curve.norm.unit_point(r0 + span)
 
     def _chord_arc(self, r0, span):
         """Signed arc length from table angle r0 to each r0 + span, as a chord sum."""
@@ -399,7 +366,7 @@ class NaturalParam:
         grid = np.concatenate([r0 + span[:, None] * _SUB_STEPS,
                                np.clip(knots, lo[:, None], hi[:, None])], axis=1)
         grid.sort(axis=1)
-        pts = self.curve.norm.unit_point(self._phi_b + grid)
+        pts = self.curve.norm.unit_point(grid)
         return np.copysign(np.asarray(self.ambient.value(np.diff(pts, axis=1))).sum(axis=1), span)
 
     # side derivatives
@@ -440,20 +407,13 @@ class NaturalParam:
             return SideDerivatives(d, d.copy(), 0.0, True, 0.0)
         left = self._seg_dir[at_knot - 1]
         right = self._seg_dir[at_knot]
-        if self.curve.kind == "sampled" and self._is_smooth_vertex(at_knot):
+        if self.curve.kind == "sampled" and self.curve.smooth[at_knot]:
             # sampled stand-in for a smooth point: use the through chord
             chord = left * self._seg_len[at_knot - 1] + right * self._seg_len[at_knot]
             d = chord / self.ambient.value(chord)
             return SideDerivatives(d.copy(), d.copy(), 0.0, True, 0.0)
         gap = float(self.ambient.value(left - right))
         return SideDerivatives(left.copy(), right.copy(), gap, True, 0.0)
-
-    def _is_smooth_vertex(self, knot_idx):
-        p = self.knots_p[knot_idx]
-        pts = self.curve.points
-        d = np.hypot(*(pts - p[None, :]).T)
-        j = int(np.argmin(d))
-        return d[j] <= 1e-9 and bool(self.curve.smooth[j])
 
     def side_slopes(self, anchor, f):
         """_one_sided's right and left derivatives of f along the curve at the point anchor.
@@ -474,11 +434,16 @@ class NaturalParam:
         return SideDerivatives(left, right, gap, False, dis)
 
 
-def build_natural_param(curve, basepoint=None, resolution=16384):
-    """Natural parameterization of a curve, anchored at basepoint."""
+def build_natural_param(curve):
+    """A new natural parameterization of a curve, or of a norm's unit sphere.
+
+    Its table starts where NaturalParam's does: at a polygon's first
+    vertex, a sampled curve's first point, or another sphere's point at
+    polar angle 0.
+    """
     if isinstance(curve, Norm):
         curve = unit_sphere(curve)
-    return NaturalParam(curve, basepoint=basepoint, resolution=resolution)
+    return NaturalParam(curve)
 
 
 def target_params(param, uniform):

@@ -85,10 +85,6 @@ def curve_outline(param, samples=1024):
     return param.point_at(ts)
 
 
-def draw_curve(canvas, param):
-    canvas.polyline(curve_outline(param), color=CURVE, width=2.0, closed=True)
-
-
 def canvas_for(points_list):
     """A canvas showing every point, and at least [-1, 1]^2, with a 15 % margin."""
     extent = 1.0

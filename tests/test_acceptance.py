@@ -236,8 +236,7 @@ def test_criterion_07_isometry_harness(corpus, params):
             det = abs(float(np.linalg.det(M)))
             if not 0.35 <= det <= 4.0 or np.linalg.cond(M) > 8.0:
                 continue
-            tgt = build_natural_param(unit_sphere(Pushforward(corpus[name], M)),
-                                      resolution=2048)
+            tgt = build_natural_param(unit_sphere(Pushforward(corpus[name], M)))
             m = linear_map(p, tgt, M)
             dist = check_isometry(m)
             anti = check_antipodes(m)

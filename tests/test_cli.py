@@ -121,6 +121,30 @@ def test_nd_metric_eps_of_one_or_more_rejected(capsys, specs_dir):
     assert err.startswith("error:") and "below 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("nd", "--spec", "{l2}", "--mode", "metric", "--targets", "0"),
+        ("nd", "--spec", "{l2}", "--mode", "metric", "--targets", "-3"),
+        ("nd", "--spec", "{l2}", "--mode", "metric", "--eps-grid", "nan"),
+        ("nd", "--spec", "{l2}", "--mode", "metric", "--delta-grid", "nan"),
+        ("iso", "--map", "{identity}", "--source-spec", "{l2}", "--target-spec", "{l2}",
+         "--tol", "nan"),
+        ("nd", "--spec", "{l2}", "--mode", "oracle", "--tol", "nan"),
+        ("plot", "--spec", "{l2}", "--overlay", "triples:abc"),
+        ("plot", "--spec", "{l2}", "--overlay", "triples:nan"),
+    ],
+    ids=["targets-0", "targets-negative", "eps-grid-nan", "delta-grid-nan", "iso-tol-nan",
+         "oracle-tol-nan", "triples-text", "triples-nan"],
+)
+def test_bad_numbers_exit_2(capsys, specs_dir, argv):
+    # no traceback and no verdict: each input is refused before any report is made
+    fills = {"l2": str(specs_dir / "l2.json"), "identity": str(specs_dir / "map_identity.json")}
+    code, out, err = _run(capsys, *(a.format(**fills) for a in argv))
+    assert code == 2 and out == ""
+    assert "error:" in err
+
+
 def test_nd_far_blind_spot_exit_3(capsys, specs_dir):
     # vertical hexagon chords hide the corner at (0, 1) from the far test
     third = "%.16f" % (1.0 / 3.0)

@@ -61,20 +61,22 @@ def test_polygon_periods_exact(params):
 
 
 def test_basepoint_and_quarter_turn():
-    p = build_natural_param(unit_sphere(PNorm(2)), basepoint=(1.0, 0.0))
+    # a sphere table that is not a polygon starts at polar angle 0
+    p = build_natural_param(unit_sphere(PNorm(2)))
     assert np.allclose(p.point_at(0.0), [1.0, 0.0], atol=1e-12)
     assert np.allclose(p.point_at(p.period / 4.0), [0.0, 1.0], atol=1e-6)
 
 
 def test_square_edge_walk():
-    p = build_natural_param(unit_sphere(PNorm(math.inf)), basepoint=(1.0, 1.0))
+    p = build_natural_param(unit_sphere(PNorm(math.inf)))
+    t = p.locate((1.0, 1.0))
     # two units of sup-norm arc length along the top edge
-    assert np.allclose(p.point_at(2.0), [-1.0, 1.0], atol=1e-9)
-    assert np.allclose(p.point_at(0.0), [1.0, 1.0], atol=1e-12)
+    assert np.allclose(p.point_at(t + 2.0), [-1.0, 1.0], atol=1e-9)
+    assert np.allclose(p.point_at(t), [1.0, 1.0], atol=1e-12)
 
 
 def test_side_derivatives_round_circle():
-    p = build_natural_param(unit_sphere(PNorm(2)), basepoint=(1.0, 0.0))
+    p = build_natural_param(unit_sphere(PNorm(2)))
     info = p.side_derivative_info(0.0)
     assert np.allclose(info.right, [0.0, 1.0], atol=1e-6)
     assert np.allclose(info.left, [0.0, 1.0], atol=1e-6)
@@ -82,8 +84,8 @@ def test_side_derivatives_round_circle():
 
 
 def test_side_derivatives_square_corner():
-    p = build_natural_param(unit_sphere(PNorm(math.inf)), basepoint=(1.0, 1.0))
-    info = p.side_derivative_info(0.0)
+    p = build_natural_param(unit_sphere(PNorm(math.inf)))
+    info = p.side_derivative_info(p.locate((1.0, 1.0)))
     # incoming edge rises along x = 1, outgoing edge runs left along y = 1
     assert np.allclose(info.left, [0.0, 1.0], atol=1e-12)
     assert np.allclose(info.right, [-1.0, 0.0], atol=1e-12)
@@ -350,7 +352,7 @@ def test_corner_params_hexagon(params):
     p = params["hexagonal"]
     cps = p.corner_params()
     assert len(cps) == 6
-    # all six vertices are at integer arc length from the basepoint
+    # all six vertices are at integer arc length from the table's start
     assert np.allclose(np.sort(np.mod(cps, 1.0)), 0.0, atol=1e-9)
 
 
@@ -493,7 +495,9 @@ def test_point_at_matches_the_reference_bit_for_bit(params, corpus, drop):
     # on a table whose first knot has a negative zero
     rng = np.random.default_rng(31)
     rows = np.array([0.2, 0.1, 0.05, 0.0125])[:, None] / 100.0 * np.arange(-105, 106)
-    signed_zero = build_natural_param(corpus["l2"], basepoint=(1.0, -0.0))
+    signed_zero = build_natural_param(sampled_curve([[1, -0.0], [0, 1], [-1, 0], [0, -1]],
+                                                    ambient=PNorm(1)))
+    assert math.copysign(1.0, signed_zero.knots_p[0, 1]) < 0.0
     for name, p in dict(params, drop=build_natural_param(drop), signed_zero=signed_zero).items():
         L = p.period
         cases = [rng.uniform(0.0, L, 400), rng.uniform(-L, 2.0 * L, 400),
@@ -837,17 +841,15 @@ def _same(a, b):
     return np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("given", [False, True])
 @pytest.mark.parametrize("name", sorted(LAZY_CURVES))
-def test_lazy_param_equals_eager(name, given):
+def test_lazy_param_equals_eager(name):
     # whichever read builds the table, knots, corners and outputs are bit for bit those
     # of a param read right after construction
     curve = LAZY_CURVES[name]
-    basepoint = NaturalParam(curve).point_at(1.0) if given else None
-    eager = NaturalParam(curve, basepoint)
+    eager = NaturalParam(curve)
     eager.knots_t  # builds the table now
     for read, first in FIRST_READS.items():
-        lazy = NaturalParam(curve, basepoint)
+        lazy = NaturalParam(curve)
         assert _same(first(lazy, eager), first(eager, eager)), (name, read)
         for attr in ("knots_t", "knots_p", "period", "corner_ts"):
             assert _same(getattr(lazy, attr), getattr(eager, attr)), (name, read, attr)
@@ -855,50 +857,25 @@ def test_lazy_param_equals_eager(name, given):
 
 @pytest.mark.parametrize("name", sorted(LAZY_CURVES))
 def test_unread_param_evaluates_no_norm(name, monkeypatch):
-    # construction evaluates the norm only to check a given basepoint
+    # construction evaluates no norm; the first read builds the table
     curve = LAZY_CURVES[name]
-    basepoint = NaturalParam(curve).point_at(1.0)
-    if curve.is_polygonal:
-        curve._edges()  # the polygon check reads cached geometry only
     rows = []
     for cls in (PNorm, norms.PolygonGauge, Hexagonal, DiskIntersection, Pushforward):
         def counting(self, v, _orig=cls.__dict__["value"]):
             rows.append(np.size(v) // 2)
             return _orig(self, v)
         monkeypatch.setattr(cls, "value", counting)
-    NaturalParam(curve)
+    param = NaturalParam(curve)
     assert sum(rows) == 0
-    if not curve.is_polygonal:
-        curve.norm.value(basepoint)
-    check = sum(rows)
-    rows.clear()
-    param = NaturalParam(curve, basepoint)
-    assert sum(rows) == check
-    assert param.period > 0 and sum(rows) > check  # the counter sees the table's rows
-
-
-@pytest.mark.parametrize(
-    "curve, basepoint",
-    [(unit_sphere(PNorm(2)), (1.1, 0.0)),
-     (unit_sphere(Hexagonal()), (1.5, 0.0)),
-     (drop_curve(), (1.0, 1.001))],
-    ids=["l2", "hexagonal", "drop"],
-)
-def test_off_curve_basepoint_raises_at_construction(curve, basepoint):
-    with pytest.raises(PreconditionError):
-        NaturalParam(curve, basepoint)
-    with pytest.raises(PreconditionError):
-        build_natural_param(curve, basepoint)
+    assert param.period > 0 and sum(rows) > 0  # the counter sees the table's rows
 
 
 def test_off_curve_point_is_named_by_locate(drop):
-    # locate blames the point it was given; only a bad basepoint blames the basepoint
+    # locate blames the point it was given
     for curve, off in ((unit_sphere(Hexagonal()), (1.000005, 0.5000025)),
                        (drop, (1.0, 1.001))):
         with pytest.raises(PreconditionError, match="^point does not lie on the curve$"):
             build_natural_param(curve).locate(np.array(off))
-        with pytest.raises(PreconditionError, match="^basepoint does not lie on the curve$"):
-            build_natural_param(curve, off)
 
 
 def test_one_on_curve_tolerance_in_the_ambient_norm(drop):
@@ -926,39 +903,31 @@ def test_one_on_curve_tolerance_in_the_ambient_norm(drop):
 # -- the mirrored half-turn table ---------------------------------------------
 
 
-def _full_turn_period(norm, basepoint, resolution):
+def _full_turn_period(norm):
     # the table as it was built over the full turn: chords between unit points
-    # at `resolution` equal angles from the basepoint, with every corner a knot
-    phi_b = math.atan2(basepoint[1], basepoint[0])
+    # at _TABLE_KNOTS equal angles from angle 0, with every corner a knot
     corners = norm.structure().corners
-    rel_c = np.mod(np.arctan2(corners[:, 1], corners[:, 0]) - phi_b, 2.0 * math.pi)
-    rel = np.linspace(0.0, 2.0 * math.pi, resolution, endpoint=False)
-    rel = np.unique(np.concatenate([rel, rel_c, [0.0]]))
+    rel_c = np.mod(np.arctan2(corners[:, 1], corners[:, 0]), 2.0 * math.pi)
+    rel = np.linspace(0.0, 2.0 * math.pi, curves._TABLE_KNOTS, endpoint=False)
+    rel = np.unique(np.concatenate([rel, rel_c]))
     for c in rel_c:
         rel = rel[~((np.abs(rel - c) < 1e-12) & (rel != c))]
-    pts = norm.unit_point(phi_b + np.append(rel, 2.0 * math.pi))
-    pts[0] = pts[-1] = basepoint
+    pts = norm.unit_point(np.append(rel, 2.0 * math.pi))
+    pts[-1] = pts[0]
     return float(np.sum(norm.value(np.diff(pts, axis=0))))
 
 
-MIRROR_CASES = [(name, "default", 16384) for name in CURVED]
-MIRROR_CASES += [(name, "generic", 16384) for name in CURVED]
-MIRROR_CASES += [(name, "corner", 16384) for name in ("lens", "sixdisk", "lens_push", "sixdisk_push")]
-MIRROR_CASES += [(name, "default", 2048) for name in CURVED]
+# a lens with its corners at angles 0 and pi: its table starts at a corner
+CORNER_START = DiskIntersection([[0.0, 0.5], [0.0, -0.5]], 1.25)
 
 
-@pytest.mark.parametrize("name, base, resolution", MIRROR_CASES)
-def test_table_is_a_mirrored_half_turn(corpus, name, base, resolution):
-    norm = corpus[name]
+@pytest.mark.parametrize("name", CURVED + ("corner_start",))
+def test_table_is_a_mirrored_half_turn(corpus, name):
+    norm = dict(corpus, corner_start=CORNER_START)[name]
     corners = norm.structure().corners
-    basepoint = None
-    if base == "generic":
-        basepoint = norm.unit_point(2.2)
-    elif base == "corner":
-        basepoint = corners[0]
-    p = NaturalParam(unit_sphere(norm), basepoint, resolution)
+    p = NaturalParam(unit_sphere(norm))
     h = (len(p.knots_p) - 1) // 2
-    assert len(p.knots_p) == 2 * h + 1 and h >= resolution // 2
+    assert len(p.knots_p) == 2 * h + 1 and h >= curves._TABLE_KNOTS // 2
     assert np.array_equal(p.knots_p[h:-1], -p.knots_p[:h])
     assert np.array_equal(p.knots_p[-1], p.knots_p[0])
     assert np.array_equal(p.knots_t[h:-1], p.knots_t[:h] + p.period / 2.0)
@@ -973,8 +942,48 @@ def test_table_is_a_mirrored_half_turn(corpus, name, base, resolution):
         assert gap[j] <= 1e-12 and info.exact
         assert np.array_equal(info.left, norm.structure().corner_in[j])
         assert np.array_equal(info.right, norm.structure().corner_out[j])
-    start = norm.unit_point(0.0) if basepoint is None else basepoint
-    assert p.period == pytest.approx(_full_turn_period(norm, start, resolution), rel=1e-12)
+    if name == "corner_start":
+        assert np.array_equal(p.corner_ts, [0.0, p.period / 2.0])
+    assert p.period == pytest.approx(_full_turn_period(norm), rel=1e-12)
+
+
+# -- corners by knot index: the nearest-knot matching it replaced, kept as the reference
+
+
+def _nearest_knot_corners(param):
+    # each corner of the curve's structure goes to its nearest knot within 1e-9,
+    # one Euclidean distance pass per corner, and the matches are sorted by parameter
+    struct = param.curve.structure()
+    pts, ts = param.knots_p[:-1], param.knots_t[:-1]
+    cts, cin, cout = [], [], []
+    for k, corner in enumerate(struct.corners):
+        d = np.hypot(*(pts - corner[None, :]).T)
+        j = int(np.argmin(d))
+        if d[j] <= 1e-9:
+            cts.append(float(ts[j]))
+            cin.append(struct.corner_in[k])
+            cout.append(struct.corner_out[k])
+    order = np.argsort(cts) if cts else []
+    return (np.asarray([cts[i] for i in order], dtype=float),
+            np.asarray([cin[i] for i in order], dtype=float).reshape(-1, 2),
+            np.asarray([cout[i] for i in order], dtype=float).reshape(-1, 2))
+
+
+def test_polygon_corners_by_index_match_nearest_knot_reference(params, drop, double_drop):
+    # an octagon with unflagged vertices at both ends of its point list and between
+    octagon = sampled_curve([[1, 0], [0.7, 0.7], [0, 1], [-0.7, 0.7], [-1, 0], [-0.7, -0.7],
+                             [0, -1], [0.7, -0.7]],
+                            smooth=[False, True, False, False, True, True, False, False],
+                            ambient=Hexagonal())
+    cases = {name: p for name, p in params.items() if p._polygonal}
+    cases.update(drop=build_natural_param(drop), double_drop=build_natural_param(double_drop),
+                 octagon=build_natural_param(octagon))
+    assert len(cases) == 11
+    for name, p in cases.items():
+        got = (p.corner_ts, p._corner_in, p._corner_out)
+        for g, w in zip(got, _nearest_knot_corners(p)):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+    assert len(cases["octagon"].corner_ts) == 5
 
 
 # -- one owner per piece of sphere geometry ----------------------------------

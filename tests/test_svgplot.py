@@ -2,9 +2,10 @@
 
 import numpy as np
 
+from normplane.cli import main
 from normplane.curves import build_natural_param, unit_sphere
 from normplane.norms import Hexagonal
-from normplane.svgplot import SvgCanvas, _fmt, canvas_for, curve_outline, draw_curve
+from normplane.svgplot import SvgCanvas, _fmt, canvas_for, curve_outline
 
 
 def test_fmt_never_emits_negative_zero():
@@ -43,10 +44,9 @@ def test_outline_passes_through_hexagon_vertices():
         assert np.min(np.hypot(pts[:, 0] - v[0], pts[:, 1] - v[1])) <= 1e-9, v
 
 
-def test_draw_curve_emits_closed_polygon():
-    param = build_natural_param(unit_sphere(Hexagonal()))
-    canvas = canvas_for([curve_outline(param)])
-    draw_curve(canvas, param)
-    out = canvas.render()
+def test_plot_emits_closed_polygon(capsys, specs_dir):
+    # the plot command draws the outline as one closed polygon, never writing -0.0000
+    assert main(["plot", "--spec", str(specs_dir / "hexagonal.json")]) == 0
+    out = capsys.readouterr().out
     assert "<polygon" in out
     assert "-0.0000" not in out

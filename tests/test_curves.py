@@ -841,11 +841,28 @@ def _same(a, b):
     return np.array_equal(a, b)
 
 
+def _turned_to(norm, c):
+    # the norm pushed forward by [[c0, c1], [-c1, c0]], which turns the direction of c onto
+    # the positive x axis, to rounding: the turned sphere's table starts at c's image
+    return Pushforward(norm, [[c[0], c[1]], [-c[1], c[0]]])
+
+
+def _turned(curve):
+    # the curve entered at another point: a sphere turned so that its table starts at the
+    # image of the point one unit of arc from its start, a sampled curve's points rolled
+    if curve.kind == "sphere":
+        return unit_sphere(_turned_to(curve.norm, NaturalParam(curve).point_at(1.0)))
+    k = len(curve.points) // 3
+    return sampled_curve(np.roll(curve.points, -k, axis=0), np.roll(curve.smooth, -k),
+                         ambient=curve.ambient)
+
+
+@pytest.mark.parametrize("turned", [False, True])
 @pytest.mark.parametrize("name", sorted(LAZY_CURVES))
-def test_lazy_param_equals_eager(name):
+def test_lazy_param_equals_eager(name, turned):
     # whichever read builds the table, knots, corners and outputs are bit for bit those
     # of a param read right after construction
-    curve = LAZY_CURVES[name]
+    curve = _turned(LAZY_CURVES[name]) if turned else LAZY_CURVES[name]
     eager = NaturalParam(curve)
     eager.knots_t  # builds the table now
     for read, first in FIRST_READS.items():
@@ -920,10 +937,21 @@ def _full_turn_period(norm):
 # a lens with its corners at angles 0 and pi: its table starts at a corner
 CORNER_START = DiskIntersection([[0.0, 0.5], [0.0, -0.5]], 1.25)
 
+# default: the norm as it is; generic: turned so the table starts at its point at angle 2.2;
+# corner: turned so the table starts at its first corner (the lens is CORNER_START)
+MIRROR_CASES = [(name, "default", 16384) for name in CURVED]
+MIRROR_CASES += [(name, "generic", 16384) for name in CURVED]
+MIRROR_CASES += [(name, "corner", 16384) for name in ("lens", "sixdisk", "lens_push", "sixdisk_push")]
 
-@pytest.mark.parametrize("name", CURVED + ("corner_start",))
-def test_table_is_a_mirrored_half_turn(corpus, name):
-    norm = dict(corpus, corner_start=CORNER_START)[name]
+
+@pytest.mark.parametrize("name, base, resolution", MIRROR_CASES)
+def test_table_is_a_mirrored_half_turn(corpus, name, base, resolution):
+    assert resolution == curves._TABLE_KNOTS
+    norm = corpus[name]
+    if base == "generic":
+        norm = _turned_to(norm, norm.unit_point(2.2))
+    elif base == "corner":
+        norm = CORNER_START if name == "lens" else _turned_to(norm, norm.structure().corners[0])
     corners = norm.structure().corners
     p = NaturalParam(unit_sphere(norm))
     h = (len(p.knots_p) - 1) // 2
@@ -942,8 +970,12 @@ def test_table_is_a_mirrored_half_turn(corpus, name):
         assert gap[j] <= 1e-12 and info.exact
         assert np.array_equal(info.left, norm.structure().corner_in[j])
         assert np.array_equal(info.right, norm.structure().corner_out[j])
-    if name == "corner_start":
-        assert np.array_equal(p.corner_ts, [0.0, p.period / 2.0])
+    if base == "corner":
+        # the table starts at a corner; a turned corner a rounding below angle 0 has its
+        # knot at t = period, the same point as t = 0
+        assert 0.0 in np.mod(p.corner_ts, p.period)
+        if name == "lens":
+            assert np.array_equal(p.corner_ts, [0.0, p.period / 2.0])
     assert p.period == pytest.approx(_full_turn_period(norm), rel=1e-12)
 
 

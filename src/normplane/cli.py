@@ -503,8 +503,14 @@ def _overlay_prims(name, rest, param):
         if norm is None:
             raise InputError("triples needs a norm spec")
         parts = [p for p in rest.split(",") if p] if rest else []
+        if len(parts) > 2:
+            raise InputError("triples takes at most a target and a margin, got %r" % rest)
         target = _parse_number(parts[0], "triples target") if parts else 2.0
         margin = _parse_number(parts[1], "triples margin") if len(parts) > 1 else 1e-3
+        if target <= 0:
+            raise InputError("triples target must be positive, got %r" % parts[0])
+        if margin < 0:
+            raise InputError("triples margin must not be negative, got %r" % parts[1])
         res = equilateral_triples(param, target, margin)
         for triple in res.triples:
             tri = np.asarray(triple, dtype=float)

@@ -395,6 +395,19 @@ def test_plot_triples_builds_one_natural_param(capsys, specs_dir, monkeypatch):
     assert built == [1]
 
 
+@pytest.mark.parametrize(
+    "overlay, field",
+    [("triples:-1", "triples target"), ("triples:0", "triples target"),
+     ("triples:2,-1", "triples margin"), ("triples:2,1e-3,5", "a target and a margin")],
+    ids=["target-negative", "target-zero", "margin-negative", "third-number"],
+)
+def test_plot_triples_rejects_bad_numbers(capsys, specs_dir, overlay, field):
+    # a distance of 0 or less, a negative margin or a third number draws nothing
+    code, out, err = _run(capsys, "plot", "--spec", str(specs_dir / "l2.json"), "--overlay", overlay)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and field in err
+
+
 # -- determinism ---------------------------------------------------------
 
 

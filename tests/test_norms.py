@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from normplane import norms
-from normplane.errors import SpecError
+from normplane.errors import PreconditionError, SpecError
 from normplane.norms import (
     DiskIntersection,
     Hexagonal,
@@ -187,17 +187,17 @@ def test_exits_hand_cases(monkeypatch, corpus):
     assert PNorm(2).exits([0.0, 0.6], [1.0, 0.0]) == pytest.approx((-0.8, 0.8), abs=1e-15)
     half = (1.0 - 0.5 ** 3) ** (1.0 / 3.0)
     assert PNorm(3).exits([0.5, 0.0], [0.0, 2.0]) == pytest.approx((-half / 2, half / 2), abs=1e-15)
-    # general lines, a batch each on every corpus sphere and on a mirrored
-    # one: both ends on the sphere, the chord inside it
+    # general lines, 50 each on every corpus sphere and on a mirrored one:
+    # both ends on the sphere, the chord inside it
     rng = np.random.default_rng(7)
     a = rng.uniform(-0.3, 0.3, size=(50, 2))
     b = rng.normal(size=(50, 2))
     for norm in (*corpus.values(), Pushforward(corpus["lens"], [[0.0, 1.0], [1.0, 0.0]])):
-        lo, hi = norm.exits(a, b)
-        assert np.all(lo < hi), norm
-        ends = np.concatenate([a + lo[:, None] * b, a + hi[:, None] * b])
-        assert np.abs(norm.value(ends) - 1.0).max() <= 1e-14, norm
-        assert np.all(norm.value(a + 0.5 * (lo + hi)[:, None] * b) < 1.0), norm
+        for ai, bi in zip(a, b):
+            lo, hi = norm.exits(ai, bi)
+            assert type(lo) is type(hi) is float and lo < hi, norm
+            assert np.abs(norm.value(np.array([ai + lo * bi, ai + hi * bi])) - 1.0).max() <= 1e-14, norm
+            assert norm.value(ai + 0.5 * (lo + hi) * bi) < 1.0, norm
         # a line outside the ball misses it: NaN at both ends
         assert np.isnan(norm.exits([3.0, 3.0], [1.0, -1.0])).all(), norm
     # lines that cross the disk the Newton search starts from but miss the ball
@@ -216,6 +216,156 @@ def test_exits_hand_cases(monkeypatch, corpus):
     assert lo == hi == 0.0
     lo, hi = Hexagonal().exits([0.5, 2.0], [0.5, -1.0])
     assert lo == hi == 1.0
+
+
+def test_exits_reject_a_bad_point_or_direction(corpus):
+    # a zero, non-finite or underflowing direction, or a non-finite point,
+    # is refused on every family instead of giving NaN or an infinite chord
+    for name, norm in corpus.items():
+        for b in ((0.0, 0.0), (math.nan, 1.0), (1.0, -math.inf), (1e-200, 0.0)):
+            with pytest.raises(PreconditionError):
+                norm.exits([0.1, 0.2], b)
+        with pytest.raises(PreconditionError):
+            norm.exits([math.inf, 0.2], [1.0, 0.0])
+
+
+# The batched exits the package ran while its callers could pass many lines,
+# kept as the reference for the one-line float kernels.  Two elementary steps
+# are pinned to what the kernels do on any machine: powers come from libm one
+# element at a time (numpy's SIMD power may differ by one ulp, and a near-tangent
+# root amplifies that to 1e-9), and 2x2 products are rounded once per product
+# and sum (a BLAS call may fuse them).
+
+
+def _ref_pow(x, p):
+    return np.array([v ** p if v >= 0.0 else math.nan for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _ref_times(v, m):
+    # rows of v times m.T
+    return np.column_stack([v[:, 0] * m[0, 0] + v[:, 1] * m[0, 1],
+                            v[:, 0] * m[1, 0] + v[:, 1] * m[1, 1]])
+
+
+def _ref_circle_exits(a, b, centers, radius):
+    dx = a[:, 0:1] - centers[None, :, 0]
+    dy = a[:, 1:2] - centers[None, :, 1]
+    bx, by = b[:, 0:1], b[:, 1:2]
+    bb = bx * bx + by * by
+    db = dx * bx + dy * by
+    with np.errstate(invalid="ignore"):
+        sq = np.sqrt(db * db - bb * (dx * dx + dy * dy - radius * radius))
+    return (-db - sq) / bb, (-db + sq) / bb
+
+
+def _ref_polygon_exits(w, a, b):
+    nxt = np.roll(w, -1, axis=0)
+    n = np.column_stack([nxt[:, 1] - w[:, 1], w[:, 0] - nxt[:, 0]])
+    room = (w[:, 0] * nxt[:, 1] - w[:, 1] * nxt[:, 0])[None, :] - (a[:, :1] * n[:, 0] + a[:, 1:] * n[:, 1])
+    rate = b[:, :1] * n[:, 0] + b[:, 1:] * n[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = room / rate
+    lo = np.where(rate < 0.0, s, -np.inf).max(axis=1)
+    hi = np.where(rate > 0.0, s, np.inf).min(axis=1)
+    miss = ~(lo <= hi) | ((rate == 0.0) & (room < 0.0)).any(axis=1)
+    lo[miss] = hi[miss] = np.nan
+    return lo, hi
+
+
+def _ref_newton_exits(p, a, b):
+    lo, hi = _ref_circle_exits(a, b, np.zeros((1, 2)), max(1.0, 2.0 ** (0.5 - 1.0 / p)))
+    n = len(a)
+    s = np.concatenate([lo[:, 0], hi[:, 0]])
+    side = np.repeat([-1.0, 1.0], n)
+    a, b = np.concatenate([a, a]), np.concatenate([b, b])
+    live = ~np.isnan(s)
+    for _ in range(100):
+        if not live.any():
+            return s[:n], s[n:]
+        z = a + s[:, None] * b
+        m = np.abs(z).max(axis=1)
+        r = np.abs(z) / m[:, None]
+        nz = m * _ref_pow(_ref_pow(r[:, 0], p) + _ref_pow(r[:, 1], p), 1.0 / p)
+        g = np.sign(z) * _ref_pow(np.abs(z) / nz[:, None], p - 1.0)
+        slope = g[:, 0] * b[:, 0] + g[:, 1] * b[:, 1]
+        outside = live & (nz > 1.0)
+        inward = side * slope > 0.0
+        s[outside & ~inward] = np.nan
+        step = np.divide(nz - 1.0, slope, out=np.zeros(2 * n), where=outside & inward)
+        s -= step
+        live = outside & inward & (np.abs(step) > 2.0 ** -50 * (1.0 + np.abs(s)))
+    raise ArithmeticError("no convergence in 100 Newton steps")
+
+
+def _ref_exits(norm, a, b):
+    if isinstance(norm, Pushforward):
+        return _ref_exits(norm.base, _ref_times(a, norm.inv), _ref_times(b, norm.inv))
+    if isinstance(norm, DiskIntersection):
+        lo, hi = _ref_circle_exits(a, b, norm.centers, norm.radius)
+        lo, hi = lo.max(axis=1), hi.min(axis=1)
+        miss = ~(lo <= hi)
+        lo[miss] = hi[miss] = np.nan
+        return lo, hi
+    if isinstance(norm, PNorm) and norm.p == 2.0:
+        lo, hi = _ref_circle_exits(a, b, np.zeros((1, 2)), 1.0)
+        return lo[:, 0], hi[:, 0]
+    if not norm.is_strictly_convex:
+        return _ref_polygon_exits(norm.structure().vertices, a, b)
+    lo = np.full(len(a), np.nan)
+    hi = lo.copy()
+    axis = ((a[:, 1] == 0.0) & (b[:, 0] == 0.0)) | ((a[:, 0] == 0.0) & (b[:, 1] == 0.0))
+    if axis.any():
+        alpha = np.abs(a[axis, 0] + a[axis, 1])
+        beta = np.abs(b[axis, 0] + b[axis, 1])
+        half = _ref_pow(1.0 - _ref_pow(alpha, norm.p), 1.0 / norm.p) / beta
+        lo[axis], hi[axis] = -half, half
+    if not axis.all():
+        lo[~axis], hi[~axis] = _ref_newton_exits(norm.p, a[~axis], b[~axis])
+    return lo, hi
+
+
+def _assert_exits_match_reference(norm, a, b, what):
+    want_lo, want_hi = _ref_exits(norm, np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    for k, (ak, bk) in enumerate(zip(a, b)):
+        for got, want in zip(norm.exits(ak, bk), (want_lo[k], want_hi[k])):
+            assert math.isnan(got) == math.isnan(want), (what, ak, bk, got, want)
+            assert not abs(got - want) > 1e-14, (what, ak, bk, got, want)
+
+
+def test_exits_match_batch_reference(corpus):
+    # |ds| <= 1e-14 and the same NaN ends, on every corpus norm and a
+    # pushforward with det < 0: axis lines on [-1.3, 1.3] (misses among
+    # them), within 1e-11 of each axis extreme and through the origin;
+    # seeded lines with unit directions; lines through each corner
+    rng = np.random.default_rng(109)
+    mirrored = Pushforward(corpus["lens"], [[0.0, 1.0], [1.0, 0.0]])
+    for name, norm in (*corpus.items(), ("lens_mirrored", mirrored)):
+        ext = norm.axis_extremes()
+        a, b = [], []
+        for axis in (0, 1):
+            near = (ext[[axis, axis + 2], axis][:, None] + [-1e-11, -1e-12, 0.0, 1e-12, 1e-11]).ravel()
+            for val in np.concatenate([rng.uniform(-1.3, 1.3, 40), near, [0.0]]):
+                a.append((val, 0.0) if axis == 0 else (0.0, val))
+                b.append((0.0, 1.0) if axis == 0 else (1.0, 0.0))
+        th = rng.uniform(0.0, 2.0 * math.pi, 200 + 8 * len(norm.structure().corners))
+        units = np.column_stack([np.cos(th), np.sin(th)])
+        a.extend(rng.uniform(-1.3, 1.3, size=(200, 2)))
+        a.extend(np.repeat(norm.structure().corners, 8, axis=0))
+        b.extend(units)
+        _assert_exits_match_reference(norm, a, b, name)
+    # named cases: an axis line beyond l3's extreme, whose closed form has a
+    # negative base; lines parallel to an edge of linf and of the hexagon;
+    # a line through the origin on l1.5
+    cases = [(PNorm(3), (1.2, 0.0), (0.0, 1.0), (math.nan, math.nan)),
+             (PNorm(math.inf), (0.0, 0.5), (1.0, 0.0), (-1.0, 1.0)),
+             (PNorm(math.inf), (0.0, 1.5), (1.0, 0.0), (math.nan, math.nan)),
+             (Hexagonal(), (0.0, 0.0), (1.0, 1.0), (-1.0, 1.0)),
+             (Hexagonal(), (0.5, 0.0), (-1.0, -1.0), (-0.5, 1.0)),
+             (PNorm(1.5), (0.0, 0.0), (0.6, 0.8), (-1.0 / PNorm(1.5).value((0.6, 0.8)),
+                                                  1.0 / PNorm(1.5).value((0.6, 0.8))))]
+    for norm, a, b, want in cases:
+        _assert_exits_match_reference(norm, [a], [b], norm)
+        assert np.allclose(norm.exits(a, b), want, rtol=1e-15, atol=0.0, equal_nan=True), (norm, a, b)
 
 
 @settings(max_examples=60, deadline=None)

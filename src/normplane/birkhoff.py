@@ -46,8 +46,8 @@ def _nonzero_pair(norm, x, y, who):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     nx = float(norm.value(x))
-    if nx == 0.0 or float(norm.value(y)) == 0.0:
-        raise PreconditionError("%s requires nonzero vectors" % who)
+    if not 0.0 < nx < math.inf or not 0.0 < float(norm.value(y)) < math.inf:
+        raise PreconditionError("%s requires nonzero finite vectors" % who)
     return x, y, nx
 
 
@@ -118,8 +118,8 @@ def orth_cone(norm, x, tol=1e-9):
     """
     x = np.asarray(x, dtype=float)
     nx = float(norm.value(x))
-    if nx == 0.0:
-        raise PreconditionError("orth_cone requires a nonzero base vector")
+    if not 0.0 < nx < math.inf:
+        raise PreconditionError("orth_cone requires a nonzero finite base vector")
     phi = math.atan2(x[1], x[0])
     lo = np.full(2, phi - 0.5 * math.pi)
     hi = np.full(2, phi + 0.5 * math.pi)
@@ -163,7 +163,7 @@ def perp_point(norm, x):
     if not norm.is_strictly_convex:
         raise PreconditionError("perp_point requires a strictly convex norm")
     x = np.asarray(x, dtype=float)
-    if abs(float(norm.value(x)) - 1.0) > ON_CURVE_TOL:
+    if not abs(float(norm.value(x)) - 1.0) <= ON_CURVE_TOL:
         raise PreconditionError("perp_point requires x on the unit sphere")
     _, z = norm.support(rot90(x))
     if abs(z[1]) <= 1e-9:

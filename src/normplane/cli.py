@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from .birkhoff import orth_cone
-from .curves import build_natural_param, curve_from_spec, target_params
+from .curves import build_natural_param, curve_from_spec, target_params, unit_sphere
 from .diffdetect import (
     DELTA_GRID,
     EPS_GRID,
@@ -68,11 +68,15 @@ def _read_json(path):
 
 
 def _plane(obj, path):
-    """The param of a parsed spec file's sphere or curve; its curve.norm is None for a curve."""
+    """The param of a parsed spec file's sphere or curve; its curve.norm is None for a curve.
+
+    A norm spec's sphere is built here rather than cached on its norm, so
+    the plane and its table go with the param's last reference.
+    """
     if not isinstance(obj, dict):
         raise InputError("%s: expected a JSON object" % path)
     if "family" in obj:
-        return build_natural_param(norm_from_spec(obj, path=path))
+        return build_natural_param(unit_sphere(norm_from_spec(obj, path=path)))
     if "points" in obj:
         return build_natural_param(curve_from_spec(obj, path=path))
     raise InputError("%s: neither a norm spec (family) nor a curve spec (points)" % path)
@@ -82,10 +86,7 @@ def _parse_vec(text, what="vector"):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 2:
         raise InputError("%s must be two comma separated numbers, got %r" % (what, text))
-    try:
-        return np.array([float(parts[0]), float(parts[1])])
-    except ValueError as exc:
-        raise InputError("%s: %s" % (what, exc)) from exc
+    return np.array([_parse_number(parts[0], what), _parse_number(parts[1], what)])
 
 
 def _parse_number(text, what):

@@ -17,9 +17,12 @@ takes Newton steps on a chord sum fine enough for finite differences;
 `NaturalParam.shift_point` states its accuracy.
 
 Every library function that takes a plane accepts a norm, a curve or a
-NaturalParam.  A norm stands for its unit sphere, and a norm or curve
-keeps one cached param (`_as_param`), so a norm has one sphere; functions
-that need a unit sphere refuse other curves.
+NaturalParam, and reaches its param through `build_natural_param`, the
+one accessor.  A curve computes its arc-length table once, and every
+param of it reads that table; a norm stands for its one cached unit
+sphere, so a norm has one table.  The norm and its sphere refer to each
+other, a cycle the garbage collector frees.  Functions that need a unit
+sphere refuse other curves.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ class ConvexCurve:
     points: np.ndarray | None = None
     smooth: np.ndarray | None = None
 
+    @_computed_once
     def structure(self):
+        """The sphere's SphereStructure, or a sampled curve's: its vertices and unflagged corners."""
         if self.kind == "sphere":
             return self.norm.structure()
         idx = np.flatnonzero(~self.smooth)
@@ -74,19 +79,28 @@ class ConvexCurve:
 
     @property
     def is_polygonal(self):
-        return self.kind == "sampled" or self.norm.structure().kind == "polygonal"
+        return self.structure().kind == "polygonal"
 
     @_computed_once
     def _edges(self):
         """A polygonal curve's vertices indexed for `_nearest_edge`."""
-        return _polygon_edges(_polygon_vertices(self))
+        return _polygon_edges(self.structure().vertices)
+
+    @_computed_once
+    def _table(self):
+        """The arc-length table NaturalParam reads, as its attributes by name.
+
+        It holds arrays and numbers only, no reference to the curve or
+        its norm, so caching it on the curve makes no reference cycle.
+        """
+        return _polygon_table(self) if self.is_polygonal else _sphere_table(self)
 
     @_computed_once
     def _extremes(self):
         """The dict `extreme_points` returns a copy of."""
         out = {}
         if self.is_polygonal:
-            verts = _polygon_vertices(self)
+            verts = self.structure().vertices
             for name, d in _DIRS.items():
                 vals = verts @ d
                 m = vals.max()
@@ -116,7 +130,7 @@ def sampled_curve(points, smooth=None, ambient=None):
     curve; unflagged vertices are treated as genuine corners.
     """
     try:
-        pts = np.asarray(points, dtype=float)
+        pts = np.array(points, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SpecError("curve.points", "expected an array of point pairs") from exc
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
@@ -209,80 +223,23 @@ class NaturalParam:
 
     Parameter zero sits at a fixed point: a polygon's first vertex in
     angle order (a sampled curve's first point), and the point at polar
-    angle 0 on any other sphere.  The table (the knots, the period and
-    the corners) is built on the first read of any of them, so a param
-    that is never read evaluates no norm.
+    angle 0 on any other sphere.  A param is a view of its curve's
+    table (the knots, the period and the corners), which the curve
+    computes once, on the first read of any of them through any of its
+    params; so a param that is never read evaluates no norm.
     """
 
     def __init__(self, curve):
         self.curve = curve
         self.ambient = curve.ambient
-        self._pending = True
 
     def __getattr__(self, name):
-        # only reached for an attribute not yet set: build the table once, then read it
-        if name.startswith("__") or not self.__dict__.pop("_pending", False):
+        # only reached for an attribute not yet set: copy the curve's table in once, then read it
+        fields = self.__dict__
+        if name.startswith("__") or "period" in fields:
             raise AttributeError("%r object has no attribute %r" % (type(self).__name__, name))
-        self._struct = self.curve.structure()
-        self._polygonal = self._struct.kind == "polygonal"  # as for every sampled curve
-        if self._polygonal:
-            self._build_polygon()
-        else:
-            self._build_table()
+        fields.update(self.curve._table())
         return getattr(self, name)
-
-    # -- polygon machinery -------------------------------------------------
-
-    def _build_polygon(self):
-        # the knots are the closed vertex cycle
-        verts = self._struct.vertices
-        self.knots_p = np.concatenate([verts, verts[:1]])
-        seg = np.diff(self.knots_p, axis=0)
-        self._seg_len = np.asarray(self.ambient.value(seg))
-        self._seg_dir = seg / self._seg_len[:, None]
-        self.knots_t = np.concatenate([[0.0], np.cumsum(self._seg_len)])
-        self.period = float(self.knots_t[-1])
-        # a corner's knot is its vertex index: every vertex of a polygon sphere, the
-        # unflagged points of a sampled curve, in the order structure() lists them
-        if self.curve.kind == "sampled":
-            idx = np.flatnonzero(~self.curve.smooth)
-        else:
-            idx = np.arange(len(verts))
-        self.corner_ts = self.knots_t[idx]
-        self._corner_in = self._struct.corner_in
-        self._corner_out = self._struct.corner_out
-
-    # -- smooth / piecewise-arc machinery ----------------------------------
-
-    def _build_table(self):
-        # a sphere is centrally symmetric: the half turn from angle 0 is measured, then mirrored
-        norm = self.curve.norm
-        corners = self._struct.corners
-        rel_corners = np.mod(np.arctan2(corners[:, 1], corners[:, 0]), TWO_PI)
-        order_by_rel = np.argsort(rel_corners)
-        # sorted by angle, the second half of the corners are the first half's antipodes
-        half_corners = rel_corners[order_by_rel[:len(corners) // 2]]
-        rel = np.linspace(0.0, math.pi, _TABLE_KNOTS // 2, endpoint=False)
-        rel = np.unique(np.concatenate([rel, half_corners]))
-        # drop grid points that crowd a corner so corners stay exact knots
-        for c in half_corners:
-            near = (np.abs(rel - c) < 1e-12) & (rel != c)
-            rel = rel[~near]
-        h = len(rel)
-        self._rel = np.concatenate([rel, rel + math.pi, [TWO_PI]])
-        pts = norm.unit_point(rel)
-        self.knots_p = np.concatenate([pts, -pts, pts[:1]])
-        seg = np.asarray(self.ambient.value(np.diff(self.knots_p[:h + 1], axis=0)))
-        half_t = np.concatenate([[0.0], np.cumsum(seg)])
-        self.knots_t = np.concatenate([half_t, half_t[1:] + half_t[-1]])
-        self._seg_len = np.concatenate([seg, seg])
-        self.period = 2.0 * float(half_t[-1])
-        idx = np.searchsorted(rel, half_corners)
-        self.corner_ts = self.knots_t[np.concatenate([idx, idx + h])]
-        self._corner_in = self._struct.corner_in[order_by_rel]
-        self._corner_out = self._struct.corner_out[order_by_rel]
-
-    # -- shared interface --------------------------------------------------
 
     def point_at(self, t):
         """Curve point at parameter t (any shape; values taken mod period)."""
@@ -310,17 +267,17 @@ class NaturalParam:
         point = np.asarray(point, dtype=float)
         if self._polygonal:
             ei, frac, off = _polygon_offset(self.curve._edges(), point, self.ambient)
-            if off > ON_CURVE_TOL:
+            if not off <= ON_CURVE_TOL:
                 raise PreconditionError("point does not lie on the curve")
             return float((self.knots_t[ei] + frac * self._seg_len[ei]) % self.period)
-        if abs(float(self.ambient.value(point)) - 1.0) > ON_CURVE_TOL:
+        if not abs(float(self.ambient.value(point)) - 1.0) <= ON_CURVE_TOL:
             raise PreconditionError("point does not lie on the unit sphere")
         rel = math.atan2(point[1], point[0]) % TWO_PI
         i = int(np.clip(np.searchsorted(self._rel, rel, side="right") - 1, 0, len(self._seg_len) - 1))
         return float((self.knots_t[i] + self.ambient.value(point - self.knots_p[i])) % self.period)
 
     def antipode_t(self, t):
-        """t + L/2; on a mirrored sphere table (_build_table), gamma(t + L/2) = -gamma(t) at knots."""
+        """t + L/2; on a mirrored sphere table (_sphere_table), gamma(t + L/2) = -gamma(t) at knots."""
         return (t + self.period / 2.0) % self.period
 
     def corner_params(self):
@@ -434,16 +391,75 @@ class NaturalParam:
         return SideDerivatives(left, right, gap, False, dis)
 
 
-def build_natural_param(curve):
-    """A new natural parameterization of a curve, or of a norm's unit sphere.
+def _polygon_table(curve):
+    """A polygonal curve's table: the knots are the closed vertex cycle."""
+    struct = curve.structure()
+    verts = struct.vertices
+    knots_p = np.concatenate([verts, verts[:1]])
+    seg = np.diff(knots_p, axis=0)
+    seg_len = np.asarray(curve.ambient.value(seg))
+    knots_t = np.concatenate([[0.0], np.cumsum(seg_len)])
+    # a corner's knot is its vertex index: every vertex of a polygon sphere, the
+    # unflagged points of a sampled curve, in the order structure() lists them
+    idx = np.flatnonzero(~curve.smooth) if curve.kind == "sampled" else np.arange(len(verts))
+    return {"_polygonal": True, "knots_p": knots_p, "knots_t": knots_t,
+            "period": float(knots_t[-1]), "_seg_len": seg_len, "_seg_dir": seg / seg_len[:, None],
+            "corner_ts": knots_t[idx], "_corner_in": struct.corner_in, "_corner_out": struct.corner_out}
 
-    Its table starts where NaturalParam's does: at a polygon's first
-    vertex, a sampled curve's first point, or another sphere's point at
-    polar angle 0.
+
+def _sphere_table(curve):
+    """The table of a sphere that is not a polygon, by polar angle (`_rel`).
+
+    A sphere is centrally symmetric: the half turn from angle 0 is
+    measured, then mirrored.
     """
-    if isinstance(curve, Norm):
-        curve = unit_sphere(curve)
-    return NaturalParam(curve)
+    struct = curve.structure()
+    corners = struct.corners
+    rel_corners = np.mod(np.arctan2(corners[:, 1], corners[:, 0]), TWO_PI)
+    order_by_rel = np.argsort(rel_corners)
+    # sorted by angle, the second half of the corners are the first half's antipodes
+    half_corners = rel_corners[order_by_rel[:len(corners) // 2]]
+    rel = np.linspace(0.0, math.pi, _TABLE_KNOTS // 2, endpoint=False)
+    rel = np.unique(np.concatenate([rel, half_corners]))
+    # drop grid points that crowd a corner so corners stay exact knots
+    for c in half_corners:
+        near = (np.abs(rel - c) < 1e-12) & (rel != c)
+        rel = rel[~near]
+    h = len(rel)
+    pts = curve.norm.unit_point(rel)
+    knots_p = np.concatenate([pts, -pts, pts[:1]])
+    seg = np.asarray(curve.ambient.value(np.diff(knots_p[:h + 1], axis=0)))
+    half_t = np.concatenate([[0.0], np.cumsum(seg)])
+    knots_t = np.concatenate([half_t, half_t[1:] + half_t[-1]])
+    idx = np.searchsorted(rel, half_corners)
+    return {"_polygonal": False, "_rel": np.concatenate([rel, rel + math.pi, [TWO_PI]]),
+            "knots_p": knots_p, "knots_t": knots_t, "period": 2.0 * float(half_t[-1]),
+            "_seg_len": np.concatenate([seg, seg]), "corner_ts": knots_t[np.concatenate([idx, idx + h])],
+            "_corner_in": struct.corner_in[order_by_rel], "_corner_out": struct.corner_out[order_by_rel]}
+
+
+def build_natural_param(obj):
+    """The natural parameterization of a curve or of a norm's unit sphere; a param itself.
+
+    This is the one way from a norm, a curve or a param to its param.  A
+    param is a view of its curve's table, which the curve computes once,
+    so every param of one curve reads the same knots.  A norm keeps one
+    unit sphere (`_unit_sphere`), so it has one table too; the sphere
+    refers back to the norm, a cycle the garbage collector frees with
+    both.  A plane built as `build_natural_param(unit_sphere(norm))` has
+    no cycle and goes with its last reference.
+    """
+    if isinstance(obj, NaturalParam):
+        return obj
+    if isinstance(obj, Norm):
+        obj = _unit_sphere(obj)
+    return NaturalParam(obj)
+
+
+@_computed_once
+def _unit_sphere(norm):
+    """A norm's one unit sphere, kept in the norm's instance dict."""
+    return unit_sphere(norm)
 
 
 def target_params(param, uniform):
@@ -534,37 +550,12 @@ def _on_curve_residual(curve, pts):
     if curve.kind == "sphere":
         return float(np.max(np.abs(curve.norm.value(pts) - 1.0)))
     edges = curve._edges()
-    return max(_polygon_offset(edges, p, curve.ambient)[2] for p in pts)
-
-
-def _as_param(obj):
-    """The natural parameterization of a norm's sphere or a curve, or obj itself.
-
-    A norm or curve keeps its param in its instance dict, so every call
-    on the same instance reads one table; build_natural_param always
-    makes a new param.  The entry refers back to its owner, a cycle the
-    garbage collector frees with the instance.
-    """
-    if isinstance(obj, NaturalParam):
-        return obj
-    param = obj.__dict__.get("_natural_param")
-    if param is None:
-        param = obj.__dict__["_natural_param"] = build_natural_param(obj)
-    return param
-
-
-def _as_curve(obj):
-    """The curve of a param, a curve itself, or a norm's sphere: the curve of its one param."""
-    if isinstance(obj, NaturalParam):
-        return obj.curve
-    if isinstance(obj, ConvexCurve):
-        return obj
-    return _as_param(obj).curve
+    return float(np.max([_polygon_offset(edges, p, curve.ambient)[2] for p in pts]))  # NaN wins
 
 
 def _sphere_param(obj, what):
-    """_as_param of a norm or of its sphere's param; refuses other curves."""
-    param = _as_param(obj)
+    """build_natural_param of a norm, its sphere or their param; refuses other curves."""
+    param = build_natural_param(obj)
     if param.curve.kind != "sphere":
         raise PreconditionError("%s needs the unit sphere of a norm" % what)
     return param
@@ -572,10 +563,6 @@ def _sphere_param(obj, what):
 
 _DIRS = {"E": np.array([1.0, 0.0]), "N": np.array([0.0, 1.0]),
          "W": np.array([-1.0, 0.0]), "S": np.array([0.0, -1.0])}
-
-
-def _polygon_vertices(curve):
-    return curve.points if curve.kind == "sampled" else curve.norm.structure().vertices
 
 
 def extreme_points(curve):
@@ -604,7 +591,7 @@ def line_crossings(curve, axis, val):
     form by `Norm.exits` (see `_sphere_crossings`).
     """
     if curve.is_polygonal:
-        return _polygon_crossings(_polygon_vertices(curve), axis, val)
+        return _polygon_crossings(curve.structure().vertices, axis, val)
     return _sphere_crossings(curve.norm, axis, val)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ON_CURVE_TOL, _as_param, _sphere_param
+from .curves import ON_CURVE_TOL, _sphere_param, build_natural_param
 from .errors import PreconditionError
 
 __all__ = [
@@ -65,7 +65,7 @@ def nd_oracle(obj, t, threshold=1e-3):
     Exact side derivatives (structure corners, polygon edges) are never
     unreliable.
     """
-    return _oracle_status(_as_param(obj).side_derivative_info(t), threshold)
+    return _oracle_status(build_natural_param(obj).side_derivative_info(t), threshold)
 
 
 def _oracle_status(info, threshold):
@@ -99,7 +99,7 @@ class CornerBasis:
 
 def corner_basis(obj, x):
     """Corner basis and certified delta at a corner point x of the curve."""
-    param = _as_param(obj)
+    param = build_natural_param(obj)
     x = np.asarray(x, dtype=float)
     info = param.side_derivative_info(param.locate(x))
     if _oracle_status(info, 1e-3) != "corner":
@@ -146,7 +146,7 @@ class MetricView:
 
 def build_metric_view(obj, base_spacing=None):
     """Metric view of a curve, dense enough for the default eps grid."""
-    param = _as_param(obj)
+    param = build_natural_param(obj)
     ambient = param.ambient
     if base_spacing is None:
         base_spacing = min(EPS_GRID) / 4.0
@@ -368,7 +368,7 @@ def nd_classify_metric(dist, antipode_map, sample, delta_grid=None, eps_grid=Non
 
 def _check_unit(norm, v, name):
     v = np.asarray(v, dtype=float)
-    if abs(float(norm.value(v)) - 1.0) > ON_CURVE_TOL:
+    if not abs(float(norm.value(v)) - 1.0) <= ON_CURVE_TOL:
         raise PreconditionError("%s must lie on the unit sphere" % name)
     return v
 

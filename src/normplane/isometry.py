@@ -25,10 +25,9 @@ from .curves import (
     _DIRS,
     ON_CURVE_TOL,
     NaturalParam,
-    _as_curve,
-    _as_param,
     _on_curve_residual,
     _sphere_param,
+    build_natural_param,
     extreme_points,
     line_crossings,
 )
@@ -65,7 +64,7 @@ def _linear_map(source, target, matrix):
     M = np.asarray(matrix, dtype=float).reshape(2, 2)
     if abs(float(np.linalg.det(M))) <= 1e-12:
         raise PreconditionError("map matrix is singular")
-    return SphereMap(_as_param(source), _as_param(target), "linear", matrix=M)
+    return SphereMap(build_natural_param(source), build_natural_param(target), "linear", matrix=M)
 
 
 def linear_map(source, target, matrix):
@@ -74,7 +73,7 @@ def linear_map(source, target, matrix):
     m = _linear_map(source, target, matrix)
     ts = np.linspace(0.0, m.source.period, 256, endpoint=False)
     err = _on_curve_residual(m.target.curve, m.source.point_at(ts) @ m.matrix.T)
-    if err > ON_CURVE_TOL:
+    if not err <= ON_CURVE_TOL:
         raise PreconditionError(
             "matrix does not carry the source curve onto the target curve "
             "(residual %.3g > %g)" % (err, ON_CURVE_TOL))
@@ -88,8 +87,8 @@ def table_map(source, target, pairs):
     s values may wrap once around the target period; their cyclic order
     must be strictly monotone, which fixes the orientation flag.
     """
-    src = _as_param(source)
-    tgt = _as_param(target)
+    src = build_natural_param(source)
+    tgt = build_natural_param(target)
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 2:
         raise PreconditionError("need at least two (t, s) pairs")
@@ -244,8 +243,8 @@ def fit_linear(m, basis, samples=256):
     """
     x, xb = (np.asarray(b, dtype=float) for b in basis)
     scale = max(1.0, float(np.abs(x).max()), float(np.abs(xb).max()))
-    if abs(cross2(x, xb)) <= 1e-12 * scale * scale:
-        raise PreconditionError("basis vectors are linearly dependent")
+    if not abs(cross2(x, xb)) > 1e-12 * scale * scale:
+        raise PreconditionError("basis vectors are linearly dependent or not finite")
     imgs = map_point(m, np.stack([x, xb]))
     T = imgs.T @ np.linalg.inv(np.column_stack([x, xb]))
     ts = _sample_params(m, samples, np.random.default_rng(0))
@@ -258,8 +257,8 @@ def fit_affine(m, anchors, samples=256):
     """Affine extension through three anchor images; returns (T, b, residual)."""
     P = np.asarray(anchors, dtype=float).reshape(3, 2)
     scale = max(1.0, float(np.abs(P).max()))
-    if abs(cross2(P[1] - P[0], P[2] - P[0])) <= 1e-12 * scale * scale:
-        raise PreconditionError("anchor points are collinear")
+    if not abs(cross2(P[1] - P[0], P[2] - P[0])) > 1e-12 * scale * scale:
+        raise PreconditionError("anchor points are collinear or not finite")
     Q = map_point(m, P)
     coef = np.linalg.solve(np.column_stack([P, np.ones(3)]), Q)
     T, b = coef[:2].T, coef[2]
@@ -476,7 +475,7 @@ def require_distinct_extremes(curve):
     witnesses apart.  Such curves carry a doubly extreme point and are
     the domain of the zigzag iteration instead.
     """
-    ext = extreme_points(_as_curve(curve))
+    ext = extreme_points(build_natural_param(curve).curve)
     vals = _extreme_values(ext)
     for name, es in ext.items():
         if es.is_segment:
@@ -573,8 +572,8 @@ def chord_triple(curve, x):
     nx = float(np.abs(x).max())
     if nx <= 0.0:
         raise PreconditionError("direction must be nonzero")
-    given = curve
-    curve = _as_curve(given)
+    param = build_natural_param(curve)
+    curve = param.curve
     ext = require_distinct_extremes(curve)
     vals = _extreme_values(ext)
 
@@ -600,7 +599,6 @@ def chord_triple(curve, x):
         t = float((u[1] - v[1]) / x[1])
         return u, v, v.copy(), sgn * t
 
-    param = _as_param(given)
     right = x[0] > 0.0
     if right:  # anticlockwise from the bottom to the right extreme
         t0 = param.locate(_arc_endpoint(ext["S"], "first"))
@@ -666,14 +664,14 @@ def zigzag(curve, c, a):
     """
     c = np.asarray(c, dtype=float).reshape(2)
     a = np.asarray(a, dtype=float).reshape(2)
-    curve = _as_curve(curve)
+    curve = build_natural_param(curve).curve
     ext = extreme_points(curve)
     vals = _extreme_values(ext)
     hit = sum(1 for name, d in _DIRS.items()
               if float(c @ d) >= vals[name] - 1e-9)
     if hit < 2:
         raise PreconditionError("c must be extreme in two directions")
-    if _on_curve_residual(curve, [a, c]) > ON_CURVE_TOL:
+    if not _on_curve_residual(curve, [a, c]) <= ON_CURVE_TOL:
         raise PreconditionError("c and a must lie on the curve")
     ambient = curve.ambient
 
@@ -723,8 +721,8 @@ def staircase(curve, a, n_min, n_max):
     if n_min > 0 or n_max < 0:
         raise PreconditionError("need n_min <= 0 <= n_max")
     a = np.asarray(a, dtype=float).reshape(2)
-    param = _as_param(curve)
-    if _on_curve_residual(param.curve, a) > ON_CURVE_TOL:
+    param = build_natural_param(curve)
+    if not _on_curve_residual(param.curve, a) <= ON_CURVE_TOL:
         raise PreconditionError("a must lie on the curve")
     out = {0: a.copy()}
 
@@ -775,8 +773,8 @@ def nondiff_set(curve, a, sample_resolution=360):
     always flagged: its profile is |t| to leading order.
     """
     a = np.asarray(a, dtype=float).reshape(2)
-    param = _as_param(curve)
-    if _on_curve_residual(param.curve, a) > ON_CURVE_TOL:
+    param = build_natural_param(curve)
+    if not _on_curve_residual(param.curve, a) <= ON_CURVE_TOL:
         raise PreconditionError("a must lie on the curve")
     norm = param.ambient
     k = max(8, int(sample_resolution))

@@ -58,8 +58,8 @@ def _computed_once(method):
     """Cache an immutable object's geometry on the instance, its arrays read-only.
 
     method takes no argument besides the norm or curve and returns an
-    array, a dataclass such as SphereStructure, a dict of dataclasses, or
-    a tuple, which is immutable already.
+    array, a dataclass such as SphereStructure, a dict of arrays or
+    dataclasses, or a tuple, which is immutable already.
     The instance is immutable, so the result is too; callers that need to
     change an array must copy it.
     """

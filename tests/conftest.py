@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+from normplane import curves
 from normplane.corpus import corpus_norms, double_drop_curve, drop_curve
 from normplane.curves import build_natural_param, unit_sphere
 
@@ -29,6 +30,18 @@ def drop():
 @pytest.fixture(scope="session")
 def double_drop():
     return double_drop_curve()
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """A list that gains one entry for each arc-length table a curve computes."""
+    built = []
+    for name in ("_polygon_table", "_sphere_table"):
+        def counting(curve, _orig=getattr(curves, name)):
+            built.append(1)
+            return _orig(curve)
+        monkeypatch.setattr(curves, name, counting)
+    return built
 
 
 @pytest.fixture(scope="session")

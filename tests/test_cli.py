@@ -133,13 +133,19 @@ def test_nd_metric_eps_of_one_or_more_rejected(capsys, specs_dir):
         ("nd", "--spec", "{l2}", "--mode", "oracle", "--tol", "nan"),
         ("plot", "--spec", "{l2}", "--overlay", "triples:abc"),
         ("plot", "--spec", "{l2}", "--overlay", "triples:nan"),
+        ("norm-eval", "--spec", "{l2}", "--vector", "nan,1"),
+        ("plot", "--spec", "{l2}", "--overlay", "orth_cone:nan,1"),
+        ("plot", "--spec", "{drop}", "--overlay", "zigzag:1,1:nan,0"),
+        ("plot", "--spec", "{drop}", "--overlay", "staircase:1,inf"),
     ],
     ids=["targets-0", "targets-negative", "eps-grid-nan", "delta-grid-nan", "iso-tol-nan",
-         "oracle-tol-nan", "triples-text", "triples-nan"],
+         "oracle-tol-nan", "triples-text", "triples-nan", "vector-nan", "orth-cone-nan",
+         "zigzag-nan", "staircase-inf"],
 )
 def test_bad_numbers_exit_2(capsys, specs_dir, argv):
     # no traceback and no verdict: each input is refused before any report is made
-    fills = {"l2": str(specs_dir / "l2.json"), "identity": str(specs_dir / "map_identity.json")}
+    fills = {"l2": str(specs_dir / "l2.json"), "drop": str(specs_dir / "drop.json"),
+             "identity": str(specs_dir / "map_identity.json")}
     code, out, err = _run(capsys, *(a.format(**fills) for a in argv))
     assert code == 2 and out == ""
     assert "error:" in err
@@ -320,7 +326,7 @@ def test_iso_text_format_mentions_histogram(capsys, specs_dir):
         ("table", "lens.json", "l2.json", 2),
     ],
 )
-def test_iso_builds_only_the_tables_it_reads(capsys, specs_dir, tmp_path, monkeypatch,
+def test_iso_builds_only_the_tables_it_reads(capsys, specs_dir, tmp_path, table_builds,
                                              mp, source, target, tables):
     if mp == "table":
         t = np.linspace(0.0, 6.0, 16, endpoint=False)
@@ -328,17 +334,11 @@ def test_iso_builds_only_the_tables_it_reads(capsys, specs_dir, tmp_path, monkey
                                               "pairs": np.column_stack([t, t]).tolist()})
     else:
         mp = str(specs_dir / mp)
-    built = []
-    for method in ("_build_table", "_build_polygon"):
-        def counting(self, *args, _orig=getattr(NaturalParam, method)):
-            built.append(1)
-            return _orig(self, *args)
-        monkeypatch.setattr(NaturalParam, method, counting)
     code, out, _ = _run(capsys, "iso", "--map", mp, "--source-spec", str(specs_dir / source),
                         "--target-spec", str(specs_dir / target),
                         "--checks", "distortion,antipodes,linear,affine")
     assert code in (0, 3) and json.loads(out)["command"] == "iso"
-    assert len(built) == tables
+    assert len(table_builds) == tables
 
 
 # -- plot ----------------------------------------------------------------
@@ -379,20 +379,12 @@ def test_plot_resolution_is_the_outline_sample_count(capsys, specs_dir, resoluti
     assert outline[0].split('"')[1].count(",") == resolution
 
 
-def test_plot_triples_builds_one_natural_param(capsys, specs_dir, monkeypatch):
+def test_plot_triples_builds_one_natural_param(capsys, specs_dir, table_builds):
     # the triples overlay searches the arc-length table the plot already built
-    built = []
-    init = NaturalParam.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(NaturalParam, "__init__", counting)
     code, out, _ = _run(capsys, "plot", "--spec", str(specs_dir / "l2.json"),
                         "--overlay", "triples:1.7,1e-6")
     assert code == 0 and out.startswith("<svg")
-    assert built == [1]
+    assert table_builds == [1]
 
 
 @pytest.mark.parametrize(

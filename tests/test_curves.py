@@ -1,22 +1,25 @@
 """Natural parameterization geometry: periods, evaluation, side derivatives."""
 
+import gc
+import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from normplane import norms
+from normplane import cli, norms
+from normplane.birkhoff import birkhoff_margin, is_birkhoff_orth, orth_cone, perp_point
 from normplane.diffdetect import _check_unit, _oracle_status, far_field_profile
 from normplane.errors import PreconditionError, SpecError
+from normplane.isometry import fit_affine, fit_linear, linear_map, nondiff_set, staircase, zigzag
 from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
 from normplane.corpus import PUSH_MATRIX, corpus_norms, double_drop_curve, drop_curve
 from normplane import curves
 from normplane.curves import (
     ON_CURVE_TOL,
     NaturalParam,
-    _as_curve,
-    _as_param,
     _nearest_edge,
     _on_curve_residual,
     build_natural_param,
@@ -464,6 +467,22 @@ def test_extreme_points_computed_once_and_read_only():
     assert np.allclose(first["E"].points, [[1.0, 0.0], [1.0, 1.0]])
 
 
+def test_structure_and_table_computed_once_and_read_only():
+    # a curve computes its structure and its arc-length table once, with read-only arrays;
+    # a sampled curve copies its points, so the caller's array stays writable
+    pts = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    cases = {"sampled": sampled_curve(pts, ambient=PNorm(1.0)), "sphere": unit_sphere(PNorm(3.0))}
+    for name, curve in cases.items():
+        s = curve.structure()
+        assert curve.structure() is s, name
+        table = curve._table()
+        assert curve._table() is table and build_natural_param(curve).knots_t is table["knots_t"], name
+        arrays = [v for v in table.values() if isinstance(v, np.ndarray)]
+        for arr in arrays + [s.corners, s.corner_in, s.corner_out]:
+            assert not arr.flags.writeable, name
+    assert pts.flags.writeable and cases["sampled"].points is not pts
+
+
 def test_antipode_params(params):
     for name in ("l2", "hexagonal", "l1_5"):
         p = params[name]
@@ -641,7 +660,7 @@ def _window_shift_point(p, anchor, deltas):
     """
     deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
     norm = p.curve.norm
-    corners = p._struct.corners
+    corners = p.curve.structure().corners
     corner_phis = np.arctan2(corners[:, 1], corners[:, 0]) if len(corners) else np.zeros(0)
     with np.errstate(divide="ignore", invalid="ignore"):
         speeds = p._seg_len / np.diff(p._rel)
@@ -852,16 +871,24 @@ def _turned(curve):
                          ambient=curve.ambient)
 
 
+def _fresh(curve):
+    # the same curve as a new object, whose table is not computed yet
+    if curve.kind == "sphere":
+        return unit_sphere(curve.norm)
+    return sampled_curve(curve.points, curve.smooth, ambient=curve.ambient)
+
+
 @pytest.mark.parametrize("turned", [False, True])
 @pytest.mark.parametrize("name", sorted(LAZY_CURVES))
 def test_lazy_param_equals_eager(name, turned):
     # whichever read builds the table, knots, corners and outputs are bit for bit those
-    # of a param read right after construction
+    # of a param read right after construction; each lazy param views a new copy of the
+    # curve, so its first read computes the table
     curve = _turned(LAZY_CURVES[name]) if turned else LAZY_CURVES[name]
     eager = NaturalParam(curve)
     eager.knots_t  # builds the table now
     for read, first in FIRST_READS.items():
-        lazy = NaturalParam(curve)
+        lazy = NaturalParam(_fresh(curve))
         assert _same(first(lazy, eager), first(eager, eager)), (name, read)
         for attr in ("knots_t", "knots_p", "period", "corner_ts"):
             assert _same(getattr(lazy, attr), getattr(eager, attr)), (name, read, attr)
@@ -869,8 +896,8 @@ def test_lazy_param_equals_eager(name, turned):
 
 @pytest.mark.parametrize("name", sorted(LAZY_CURVES))
 def test_unread_param_evaluates_no_norm(name, monkeypatch):
-    # construction evaluates no norm; the first read builds the table
-    curve = LAZY_CURVES[name]
+    # construction evaluates no norm; the first read builds the curve's table
+    curve = _fresh(LAZY_CURVES[name])
     rows = []
     for cls in (PNorm, norms.PolygonGauge, Hexagonal, DiskIntersection, Pushforward):
         def counting(self, v, _orig=cls.__dict__["value"]):
@@ -910,6 +937,37 @@ def test_one_on_curve_tolerance_in_the_ambient_norm(drop):
             if curve.kind == "sphere":
                 with pytest.raises(PreconditionError):
                     _check_unit(curve.norm, p, "z")
+
+
+NAN = math.nan
+L2 = PNorm(2.0)
+# one NaN or infinite coordinate where a point on the curve, a unit vector, a nonzero vector,
+# a basis or a map matrix is needed; drop is the drop curve
+NON_FINITE_CALLS = {
+    "locate-sphere": lambda drop: build_natural_param(L2).locate((NAN, 0.0)),
+    "locate-polygon": lambda drop: build_natural_param(drop).locate((NAN, 0.0)),
+    "check-unit": lambda drop: _check_unit(L2, (NAN, 1.0), "z"),
+    "zigzag": lambda drop: zigzag(drop, (1.0, 1.0), (NAN, 0.0)),
+    "staircase": lambda drop: staircase(drop, (NAN, 0.0), -1, 1),
+    "nondiff-set": lambda drop: nondiff_set(L2, (NAN, 1.0)),
+    "linear-map": lambda drop: linear_map(L2, L2, [[NAN, 0.0], [0.0, 1.0]]),
+    "fit-linear": lambda drop: fit_linear(linear_map(L2, L2, np.eye(2)), [(NAN, 0.0), (0.0, 1.0)]),
+    "fit-affine": lambda drop: fit_affine(linear_map(L2, L2, np.eye(2)),
+                                          [(NAN, 0.0), (0.0, 1.0), (-1.0, 0.0)]),
+    "birkhoff-margin": lambda drop: birkhoff_margin(L2, (1.0, 0.0), (NAN, 1.0)),
+    "is-birkhoff-orth": lambda drop: is_birkhoff_orth(L2, (NAN, 0.0), (0.0, 1.0)),
+    "orth-cone": lambda drop: orth_cone(L2, (NAN, 1.0)),
+    "orth-cone-inf": lambda drop: orth_cone(L2, (math.inf, 1.0)),
+    "perp-point": lambda drop: perp_point(L2, (NAN, 1.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_a_non_finite_point_is_refused(drop, name):
+    # a comparison with NaN is False, so each on-curve, unit or nonzero check is written to
+    # fail unless its bound holds: an off-curve test reads `not err <= tol`
+    with pytest.raises(PreconditionError):
+        NON_FINITE_CALLS[name](drop)
 
 
 # -- the mirrored half-turn table ---------------------------------------------
@@ -1049,12 +1107,43 @@ def test_side_slopes_match_the_stencils_they_replace(params, drop):
                 assert _bytes(got) == _bytes(want), name
 
 
+def test_planes_are_freed_without_the_cycle_collector(specs_dir):
+    # a curve's table holds no reference back to the curve or its norm, so a plane that
+    # has been read dies with its last reference; only a norm's own sphere is a cycle
+    specs = {name: json.loads((specs_dir / (name + ".json")).read_text()) for name in ("l2", "drop")}
+    planes = {
+        "norm-spec": lambda: cli._plane(specs["l2"], "l2.json"),
+        "curve-spec": lambda: cli._plane(specs["drop"], "drop.json"),
+        "sphere": lambda: build_natural_param(unit_sphere(PNorm(3.0))),
+        "norm": lambda: build_natural_param(PNorm(3.0)),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        alive = {}
+        for name, make in planes.items():
+            param = make()
+            assert param.period > 0  # the table is computed and cached on the curve
+            curve = weakref.ref(param.curve)
+            del param
+            alive[name] = curve() is not None
+        assert alive == {"norm-spec": False, "curve-spec": False, "sphere": False, "norm": True}
+        gc.collect()
+        assert curve() is None  # the norm <-> sphere cycle goes to the collector
+    finally:
+        gc.enable()
+
+
 def test_a_norm_has_one_sphere():
-    # a norm's curve is the curve of its one param; a curve or a param passes through
+    # a norm's params all view its one sphere; a curve's view the curve; a param passes through
     norm = PNorm(3.0)
-    assert _as_curve(norm) is _as_param(norm).curve
-    assert _as_curve(norm) is _as_curve(norm)
+    first, second = build_natural_param(norm), build_natural_param(norm)
+    assert first.curve is second.curve and first.curve.norm is norm
+    assert build_natural_param(first) is first
     drop = drop_curve()
     param = build_natural_param(drop)
-    assert _as_curve(drop) is drop and _as_curve(param) is drop
-    assert "_natural_param" not in vars(drop)  # no param was made for the curve
+    assert param.curve is drop and build_natural_param(param) is param
+    # one table per curve, computed on the first read and shared by every param of it
+    assert "__table" not in vars(drop)
+    assert build_natural_param(drop).knots_t is param.knots_t
+    assert first.period == second.period and first.knots_p is second.knots_p

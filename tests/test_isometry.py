@@ -8,13 +8,11 @@ import numpy as np
 import pytest
 
 from normplane import isometry
-from normplane.corpus import corpus_norms
+from normplane.corpus import corpus_norms, drop_curve
 from normplane.errors import PreconditionError, SpecError
 from normplane.norms import Hexagonal, PNorm, Pushforward, _computed_once
 from normplane.curves import (
     ConvexCurve,
-    NaturalParam,
-    _as_param,
     build_natural_param,
     sampled_curve,
     unit_sphere,
@@ -288,7 +286,7 @@ def _dense_equilateral_triples(norm, target_distance, margin):
     It reads every pair of net points, so it stops with an error rather
     than build a net finer than 2048 points.
     """
-    param = _as_param(unit_sphere(norm))
+    param = build_natural_param(unit_sphere(norm))
     L = param.period
     thresh = float(target_distance) - float(margin)
     n = 1024
@@ -371,24 +369,17 @@ def test_equilateral_triples_reads_a_prebuilt_param(params, corpus, drop):
         equilateral_triples(build_natural_param(drop), 2.0, 1e-3)
 
 
-def test_equilateral_triples_of_a_norm_build_one_table(monkeypatch):
-    # a norm keeps its sphere's param, so a second search reads the same
-    # table; an explicit build still makes a new param
-    built = []
-    build = NaturalParam._build_table
-
-    def counting(self, *args):
-        built.append(1)
-        return build(self, *args)
-
-    monkeypatch.setattr(NaturalParam, "_build_table", counting)
+def test_equilateral_triples_of_a_norm_build_one_table(table_builds):
+    # a norm keeps its one sphere, and the sphere its table, so a second
+    # search reads the same table; so does an explicit param of the norm
+    built = table_builds
     norm = PNorm(2)
     first = equilateral_triples(norm, SQRT3 + 0.004, 1e-6)
     second = equilateral_triples(norm, SQRT3 + 0.004, 1e-6)
     assert built == [1]
     assert (first.status, first.distances) == (second.status, second.distances)
-    assert _as_param(norm) is _as_param(norm)
-    assert build_natural_param(norm) is not _as_param(norm)
+    assert build_natural_param(norm).period > 0 and built == [1]
+    assert build_natural_param(norm).curve is build_natural_param(norm).curve
 
 
 def test_arc_search_certifies_absence_in_linear_memory(corpus, params):
@@ -508,6 +499,23 @@ def test_chord_triple_near_the_axes(params, drop, offset):
             assert abs(w[0] - u[0]) <= 1e-9 and abs(w[1] - v[1]) <= 1e-9, (name, tuple(x))
 
 
+def test_chord_triple_near_axis_sweep_misses_no_more(corpus):
+    # within 1e-9 rad of an axis the triple can miss |u - v - t x| <= 1e-9, by up to
+    # 1.1e-8 on pushed spheres, a defect not yet mended: 26 of these 432 cases miss, a count
+    # that may fall but not rise.  Each norm is passed itself, so chord_triple reaches
+    # its one sphere and table through build_natural_param
+    offsets = [s * o for o in (1e-7, 1e-9, 1e-11) for s in (-1.0, 1.0)]
+    angles = np.add.outer(np.arange(4) * math.pi / 2.0, offsets).ravel()
+    cases = misses = 0
+    for norm in corpus.values():
+        for x in np.column_stack([np.cos(angles), np.sin(angles)]):
+            u, v, w, t = chord_triple(norm, x)
+            cases += 1
+            misses += not float(norm.value(u - v - t * x)) <= 1e-9
+    print("near-axis chord triples: %d of %d miss 1e-9" % (misses, cases))
+    assert cases == 432 and misses <= 26
+
+
 def _halving(gap, g0):
     # the reference search: halve "gap > 0" over [0, 1] down to adjacent floats
     lo, hi = 0.0, 1.0
@@ -582,19 +590,13 @@ def test_zigzag_converges_on_drop(drop):
     assert float(steps.min()) >= -1e-12  # moves up and right only
 
 
-def test_zigzag_builds_no_natural_param(drop, monkeypatch):
+def test_zigzag_builds_no_natural_param(table_builds):
     # the on-curve checks read the curve itself, so no arc-length table is built
-    built = []
-    init = NaturalParam.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(NaturalParam, "__init__", counting)
+    drop = drop_curve()
     for a in ([-1.0, 0.0], [0.0, -1.0], [1.0, 0.5]):
         assert zigzag(drop, np.array([1.0, 1.0]), np.array(a)).verdict == "converged"
-    assert built == []
+    assert table_builds == []
+    assert build_natural_param(drop).period > 0 and table_builds == [1]  # the counter sees a build
 
 
 def test_zigzag_fixed_at_target(drop):

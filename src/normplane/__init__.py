@@ -10,11 +10,8 @@ from .norms import (
     Pushforward,
     SphereStructure,
     cross2,
-    is_strictly_convex,
-    norm_eval,
     norm_from_spec,
     rot90,
-    spec_to_json,
 )
 from .curves import (
     ConvexCurve,

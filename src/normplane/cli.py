@@ -27,6 +27,7 @@ from .diffdetect import (
     DELTA_GRID,
     EPS_GRID,
     _oracle_status,
+    _vec,
     build_metric_view,
     chord_partner,
     far_field_test,
@@ -46,7 +47,7 @@ from .isometry import (
     two_corner_undetermined,
     zigzag,
 )
-from .norms import norm_eval, norm_from_spec
+from .norms import norm_from_spec
 from .svgplot import CHORD, CURVE, FAINT, MARK, PATH, canvas_for, curve_outline
 
 
@@ -118,10 +119,6 @@ def _json_text(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _vec(v):
-    return [float(v[0]), float(v[1])]
-
-
 def _g(v):
     return "%.12g" % float(v)
 
@@ -135,7 +132,7 @@ def cmd_norm_eval(args):
         raise InputError("%s is not a norm spec" % args.spec)
     norm = norm_from_spec(obj, path=args.spec)
     v = _parse_vec(args.vector)
-    val = float(norm_eval(norm, v))
+    val = float(norm.value(v))
     if args.format == "json":
         _emit(_json_text({
             "command": "norm-eval",
@@ -189,11 +186,10 @@ def _nd_metric_report(param, args):
     if param.curve.norm is None:
         # the 2 - delta*eps chord threshold assumes a unit sphere of diameter 2
         raise InputError("metric mode needs a norm spec, not a sampled curve")
-    eps = args.eps_grid if args.eps_grid is not None else EPS_GRID
+    eps, delta = args.eps_grid, args.delta_grid
     if max(eps) >= 1.0:
         # at eps >= 1 the eps-arcs around a point and its antipode meet
         raise InputError("--eps-grid values must be below 1, got %g" % max(eps))
-    delta = args.delta_grid if args.delta_grid is not None else DELTA_GRID
     if args.resolution is None:
         view = build_metric_view(param, base_spacing=min(eps) / 4.0)
     else:
@@ -586,8 +582,8 @@ def build_parser():
                     help="oracle: classified points; metric: net size; far: probe count")
     pn.add_argument("--targets", type=int, default=24,
                     help="metric mode: uniform classification targets beside corners")
-    pn.add_argument("--eps-grid", type=_grid_arg("--eps-grid"), default=None)
-    pn.add_argument("--delta-grid", type=_grid_arg("--delta-grid"), default=None)
+    pn.add_argument("--eps-grid", type=_grid_arg("--eps-grid"), default=EPS_GRID)
+    pn.add_argument("--delta-grid", type=_grid_arg("--delta-grid"), default=DELTA_GRID)
     pn.add_argument("--points", default=None, help="far mode pair \"y1,y2;z1,z2\"")
     pn.add_argument("--tol", type=float, default=1e-3,
                     help="oracle gap threshold / far slope threshold")

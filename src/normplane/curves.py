@@ -98,24 +98,23 @@ class ConvexCurve:
     @_computed_once
     def _extremes(self):
         """The dict `extreme_points` returns a copy of."""
-        out = {}
         if self.is_polygonal:
             verts = self.structure().vertices
+            sets = {}
             for name, d in _DIRS.items():
                 vals = verts @ d
-                m = vals.max()
-                sel = verts[vals >= m - 1e-9]
-                if len(sel) == 1:
-                    out[name] = ExtremeSet(sel.copy(), False)
-                else:
+                sel = verts[vals >= vals.max() - 1e-9]
+                if len(sel) > 1:
                     perp = sel @ np.array([-d[1], d[0]])
                     order = np.argsort(perp)  # anticlockwise traversal ascends the perp coordinate
-                    out[name] = ExtremeSet(sel[[order[0], order[-1]]], True)
-            return out
-        # spheres that are not polygons are strictly convex here: one support point each
-        for name, p in zip(_DIRS, self.norm.axis_extremes()):
-            out[name] = ExtremeSet(p[None, :].copy(), False)
-        return out
+                    sel = sel[[order[0], order[-1]]]
+                sets[name] = sel
+        else:
+            # spheres that are not polygons are strictly convex here: one support point each
+            pts = self.norm.support(np.array(list(_DIRS.values())))[1]
+            sets = {name: pts[k:k + 1] for k, name in enumerate(_DIRS)}
+        return {name: ExtremeSet(p, len(p) == 2, float(np.max(p @ _DIRS[name])))
+                for name, p in sets.items()}
 
 
 def unit_sphere(norm):
@@ -195,8 +194,11 @@ class SideDerivatives:
 
 @dataclass(frozen=True, eq=False)
 class ExtremeSet:
+    """A curve's extreme set in an axis direction d, with its support value max(points @ d)."""
+
     points: np.ndarray  # (1,2) or (2,2), segment endpoints by traversal order
     is_segment: bool
+    value: float
 
 
 _FD_STEPS = (1e-3, 1e-4, 1e-5)
@@ -242,7 +244,10 @@ class NaturalParam:
         return getattr(self, name)
 
     def point_at(self, t):
-        """Curve point at parameter t (any shape; values taken mod period)."""
+        """Curve point at parameter t (any shape; values taken mod period).
+
+        The hot path, so t is unchecked: a t that is not finite gives NaN.
+        """
         t = np.asarray(t, dtype=float)
         # np.mod(t, period) bit for bit: fmod's remainder, which is exact, plus the
         # period when negative; adding 0.0 turns fmod's -0.0 into 0.0 as np.mod does
@@ -298,8 +303,11 @@ class NaturalParam:
         of delta for |delta| <= 1e-3 and within 5e-8 for |delta| <= 0.6;
         next to l1_5's axis points and their images on l1_5_push, where the
         curvature is unbounded, within 1e-6 |delta| + 1e-14 and 5e-7.
+        An anchor or a delta that is not finite raises PreconditionError.
         """
         deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+        if not (np.all(np.isfinite(deltas)) and np.all(np.isfinite(anchor))):
+            raise PreconditionError("shift_point needs a finite anchor and finite deltas")
         if self._polygonal:
             return self.point_at(self.locate(anchor) + deltas)
         r0 = math.atan2(anchor[1], anchor[0]) % TWO_PI
@@ -329,6 +337,8 @@ class NaturalParam:
     # side derivatives
 
     def side_derivative_info(self, t):
+        if not math.isfinite(t):
+            raise PreconditionError("side derivatives need a finite parameter, got %r" % (t,))
         tm = float(np.mod(t, self.period))
         k = self._corner_at(tm)
         if k is not None:
@@ -569,8 +579,9 @@ def extreme_points(curve):
     """Extreme sets of the curve in the four axis directions.
 
     Returns a dict keyed by "E", "N", "W", "S".  Each entry is a single
-    point or the two endpoints of an extreme edge, ordered by traversal.
-    The sets are computed once per curve and their arrays are read-only.
+    point or the two endpoints of an extreme edge, ordered by traversal,
+    with its support value.  The sets are computed once per curve and
+    their arrays are read-only.
     """
     return dict(curve._extremes())
 
@@ -592,7 +603,7 @@ def line_crossings(curve, axis, val):
     """
     if curve.is_polygonal:
         return _polygon_crossings(curve.structure().vertices, axis, val)
-    return _sphere_crossings(curve.norm, axis, val)
+    return _sphere_crossings(curve, axis, val)
 
 
 def _polygon_crossings(verts, axis, val):
@@ -631,7 +642,7 @@ def _polygon_crossings(verts, axis, val):
     return comps
 
 
-def _sphere_crossings(norm, axis, val):
+def _sphere_crossings(curve, axis, val):
     """Crossings of a sphere that is not a polygon with an axis line.
 
     A value within 1e-11 (relative) of the axis extremes touches the
@@ -643,21 +654,21 @@ def _sphere_crossings(norm, axis, val):
     where p-norms other than l2 take a convex Newton search.  The line
     goes to `exits` as floats, and `exits` answers for one line in float
     arithmetic: about 1 to 4 us a call on l2 and disk intersections and
-    8 us on a pushed p-norm on a 2-core x86-64 machine, where numpy took
-    16 to 180 us.
+    8 us on a pushed p-norm on a 2-core x86-64 machine.
     """
-    ext = norm.axis_extremes()
-    p_hi, p_lo = ext[axis], ext[axis + 2]
-    tol = 1e-11 * max(1.0, abs(p_hi[axis]), abs(p_lo[axis]))
-    if val > p_hi[axis] + tol or val < p_lo[axis] - tol:
+    ext = curve._extremes()
+    top, bottom = ext["EN"[axis]], ext["WS"[axis]]
+    hi, lo = top.value, -bottom.value  # the sphere's extent along the axis
+    tol = 1e-11 * max(1.0, abs(hi), abs(lo))
+    if val > hi + tol or val < lo - tol:
         return []
-    if abs(val - p_hi[axis]) <= tol:
-        return [(p_hi.copy(), p_hi.copy(), False)]
-    if abs(val - p_lo[axis]) <= tol:
-        return [(p_lo.copy(), p_lo.copy(), False)]
+    for end, at in ((top, hi), (bottom, lo)):
+        if abs(val - at) <= tol:
+            p = end.points[0]
+            return [(p.copy(), p.copy(), False)]
     a, b = ((val, 0.0), (0.0, 1.0)) if axis == 0 else ((0.0, val), (1.0, 0.0))
     comps = []
-    for s in norm.exits(a, b):
+    for s in curve.norm.exits(a, b):
         p = np.array((val, s) if axis == 0 else (s, val))
         comps.append((p, p.copy(), False))
     return comps

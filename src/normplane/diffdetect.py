@@ -339,7 +339,7 @@ def _classify_point(dist, antipode_map, sample, x, delta_grid, batches, ball_sam
     return "unreliable", tuple(transcript)
 
 
-def nd_classify_metric(dist, antipode_map, sample, delta_grid=None, eps_grid=None, *,
+def nd_classify_metric(dist, antipode_map, sample, delta_grid=DELTA_GRID, eps_grid=EPS_GRID, *,
                        targets, ball_sampler, curve_id="curve"):
     """Classify the target sphere points as corner or smooth from metric data alone.
 
@@ -351,9 +351,7 @@ def nd_classify_metric(dist, antipode_map, sample, delta_grid=None, eps_grid=Non
     sampler's eps/100 spacing can hide, eps/50.  Every eps level must
     be below 1.
     """
-    if delta_grid is None:
-        delta_grid = DELTA_GRID
-    batches = _eps_batches(EPS_GRID if eps_grid is None else eps_grid)
+    batches = _eps_batches(eps_grid)
     _check_eps(batches[0] + batches[1])
     entries = []
     for x in np.atleast_2d(np.asarray(targets, dtype=float)):

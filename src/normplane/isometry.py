@@ -62,6 +62,8 @@ class SphereMap:
 
 def _linear_map(source, target, matrix):
     M = np.asarray(matrix, dtype=float).reshape(2, 2)
+    if not np.all(np.isfinite(M)):
+        raise PreconditionError("map matrix must be finite")
     if abs(float(np.linalg.det(M))) <= 1e-12:
         raise PreconditionError("map matrix is singular")
     return SphereMap(build_natural_param(source), build_natural_param(target), "linear", matrix=M)
@@ -83,15 +85,17 @@ def linear_map(source, target, matrix):
 def table_map(source, target, pairs):
     """Build a param-table map from (t, s) knot pairs.
 
-    Knots must be strictly increasing in t over one source period.  The
-    s values may wrap once around the target period; their cyclic order
-    must be strictly monotone, which fixes the orientation flag.
+    Knots must be finite and strictly increasing in t over one source
+    period.  The s values may wrap once around the target period; their
+    cyclic order must be strictly monotone, which fixes the orientation.
     """
     src = build_natural_param(source)
     tgt = build_natural_param(target)
     arr = np.asarray(pairs, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or len(arr) < 2:
         raise PreconditionError("need at least two (t, s) pairs")
+    if not np.all(np.isfinite(arr)):
+        raise PreconditionError("table pairs must be finite")
     t, s = arr[:, 0].copy(), arr[:, 1].copy()
     if np.any(np.diff(t) <= 0) or t[-1] - t[0] >= src.period:
         raise PreconditionError("table t values must be strictly increasing over one period")
@@ -413,10 +417,13 @@ def equilateral_triples(obj, target_distance, margin):
     pass: pairs i < j in row-major order, j in i's run, and k the least
     index in both runs.
     """
+    target_distance, margin = float(target_distance), float(margin)
+    if not (math.isfinite(target_distance) and math.isfinite(margin)):
+        raise PreconditionError("target distance and margin must be finite")
     param = _sphere_param(obj, "equilateral_triples")
     norm = param.ambient
     L = param.period
-    thresh = float(target_distance) - float(margin)
+    thresh = target_distance - margin
     n = 1024
     h = L / n
     for _ in range(5):  # a 1024-point net and up to 4 doublings
@@ -444,26 +451,17 @@ def equilateral_triples(obj, target_distance, margin):
                     break
             if triples:
                 return EquilateralResult("found", tuple(triples), tuple(dists),
-                                         float(target_distance), float(margin),
-                                         h, _FINE_SPACING, None)
+                                         target_distance, margin, h, _FINE_SPACING, None)
         cert = thresh - 4.0 * _FINE_SPACING - h
         if not _in_triangle(norm, pts, _arcs(norm, pts, farthest, cert), cert).any():
-            return EquilateralResult("certified_absent", (), (),
-                                     float(target_distance), float(margin),
+            return EquilateralResult("certified_absent", (), (), target_distance, margin,
                                      h, _FINE_SPACING, cert + h)
         n *= 2
-    return EquilateralResult("undetermined", (), (), float(target_distance),
-                             float(margin), h, _FINE_SPACING, None)
+    return EquilateralResult("undetermined", (), (), target_distance, margin,
+                             h, _FINE_SPACING, None)
 
 
 # -- chord triples -------------------------------------------------------
-
-
-def _extreme_values(ext):
-    vals = {}
-    for name, d in _DIRS.items():
-        vals[name] = float(np.max(ext[name].points @ d))
-    return vals
 
 
 def require_distinct_extremes(curve):
@@ -476,25 +474,17 @@ def require_distinct_extremes(curve):
     the domain of the zigzag iteration instead.
     """
     ext = extreme_points(build_natural_param(curve).curve)
-    vals = _extreme_values(ext)
     for name, es in ext.items():
         if es.is_segment:
             continue
         p = es.points[0]
         for nb in _ADJACENT[name]:
-            if float(p @ _DIRS[nb]) >= vals[nb] - 1e-9:
+            if float(p @ _DIRS[nb]) >= ext[nb].value - 1e-9:
                 raise PreconditionError(
                     "point (%.6g, %.6g) is extreme in two directions; "
                     "the chord construction does not apply, use zigzag"
                     % (p[0], p[1]))
     return ext
-
-
-def _arc_endpoint(es, take):
-    # take is "first" or "second": that end of an extreme edge in traversal order
-    if not es.is_segment:
-        return es.points[0]
-    return es.points[0] if take == "first" else es.points[1]
 
 
 _ITP_K1 = 0.2   # truncation 0.2 w^2 on a bracket of width w: ITP's 0.2 / (b - a) on [0, 1]
@@ -570,43 +560,36 @@ def chord_triple(curve, x):
     """
     x = np.asarray(x, dtype=float).reshape(2)
     nx = float(np.abs(x).max())
-    if nx <= 0.0:
-        raise PreconditionError("direction must be nonzero")
+    if not 0.0 < nx < math.inf:
+        raise PreconditionError("direction must be finite and nonzero")
     param = build_natural_param(curve)
     curve = param.curve
     ext = require_distinct_extremes(curve)
-    vals = _extreme_values(ext)
 
     sgn = 1.0
     if x[1] < 0.0 or (x[1] == 0.0 and x[0] < 0.0):
         x = -x
         sgn = -1.0
+    k = int(abs(x[1]) > abs(x[0]))  # the dominant coordinate
 
-    if abs(x[1]) <= 1e-12 * nx:
-        # horizontal chord at mid height; w = u
-        ymid = (vals["N"] - vals["S"]) / 2.0
-        comps = line_crossings(curve, 1, ymid)
+    if abs(x[1 - k]) <= 1e-12 * nx:
+        # a chord along axis k: horizontal at mid height with w = u, or vertical at mid width with w = v
+        mid = (ext["NE"[k]].value - ext["SW"[k]].value) / 2.0
+        comps = line_crossings(curve, 1 - k, mid)
         v = comps[0][0]
         u = comps[-1][1]
-        t = float((u[0] - v[0]) / x[0])
-        return u, v, u.copy(), sgn * t
-    if abs(x[0]) <= 1e-12 * nx:
-        # vertical chord at mid width; w = v
-        xmid = (vals["E"] - vals["W"]) / 2.0
-        comps = line_crossings(curve, 0, xmid)
-        v = comps[0][0]
-        u = comps[-1][1]
-        t = float((u[1] - v[1]) / x[1])
-        return u, v, v.copy(), sgn * t
+        t = float((u[k] - v[k]) / x[k])
+        return u, v, (v if k else u).copy(), sgn * t
 
     right = x[0] > 0.0
+    # an extreme set's points run in traversal order: [0] is its first end and [-1] its last
     if right:  # anticlockwise from the bottom to the right extreme
-        t0 = param.locate(_arc_endpoint(ext["S"], "first"))
-        t1 = param.locate(_arc_endpoint(ext["E"], "second"))
+        t0 = param.locate(ext["S"].points[0])
+        t1 = param.locate(ext["E"].points[-1])
         span = (t1 - t0) % param.period
     else:      # clockwise from the bottom to the left extreme
-        t0 = param.locate(_arc_endpoint(ext["S"], "second"))
-        t1 = param.locate(_arc_endpoint(ext["W"], "first"))
+        t0 = param.locate(ext["S"].points[-1])
+        t1 = param.locate(ext["W"].points[0])
         span = -((t0 - t1) % param.period)
     rho = abs(float(x[0] / x[1]))
 
@@ -627,7 +610,6 @@ def chord_triple(curve, x):
 
     lo = _last_flatter(gap, gap(0.0))
     u, v, w = box(lo)
-    k = int(abs(x[1]) > abs(x[0]))  # the dominant coordinate
     t = float((u[k] - v[k]) / x[k])
     return u, v, w, sgn * t
 
@@ -666,9 +648,8 @@ def zigzag(curve, c, a):
     a = np.asarray(a, dtype=float).reshape(2)
     curve = build_natural_param(curve).curve
     ext = extreme_points(curve)
-    vals = _extreme_values(ext)
     hit = sum(1 for name, d in _DIRS.items()
-              if float(c @ d) >= vals[name] - 1e-9)
+              if float(c @ d) >= ext[name].value - 1e-9)
     if hit < 2:
         raise PreconditionError("c must be extreme in two directions")
     if not _on_curve_residual(curve, [a, c]) <= ON_CURVE_TOL:

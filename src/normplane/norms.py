@@ -26,10 +26,7 @@ __all__ = [
     "DiskIntersection",
     "Pushforward",
     "SphereStructure",
-    "norm_eval",
-    "is_strictly_convex",
     "norm_from_spec",
-    "spec_to_json",
     "rot90",
     "cross2",
 ]
@@ -125,6 +122,11 @@ class SphereStructure:
     vertices: np.ndarray | None = None
 
 
+# the structure of every sphere without corners: one empty, read-only array for all three
+_SMOOTH = SphereStructure("smooth", *[np.zeros((0, 2))] * 3)
+_SMOOTH.corners.flags.writeable = False
+
+
 def _corner_tangents(verts, idx, value):
     """Ambient-unit tangents (in, out) of the closed polygon verts at its vertices idx.
 
@@ -144,8 +146,6 @@ def _sorted_corner_arrays(corners, tin, tout):
     corners = np.asarray(corners, dtype=float).reshape(-1, 2)
     tin = np.asarray(tin, dtype=float).reshape(-1, 2)
     tout = np.asarray(tout, dtype=float).reshape(-1, 2)
-    if len(corners) == 0:
-        return corners, tin, tout
     order = np.argsort(np.arctan2(corners[:, 1], corners[:, 0]))
     return corners[order], tin[order], tout[order]
 
@@ -182,11 +182,6 @@ class Norm:
     def _support(self, u):
         raise NotImplementedError
 
-    @_computed_once
-    def axis_extremes(self):
-        """Support points in the directions E, N, W, S, one row each."""
-        return self.support(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]))[1]
-
     def exits(self, a, b):
         """Parameters s_lo <= s_hi where the line a + s*b crosses the unit sphere.
 
@@ -197,9 +192,8 @@ class Norm:
         Every caller asks about one line at a time, so each family answers
         in plain float arithmetic, without numpy: on a 2-core x86-64
         machine a call takes about 1 us on l2, 2.4 us on a 12-gon, 3.7 us
-        on a six-disk intersection and 7.7 us on a pushed p-norm, against
-        16 to 180 us in numpy.  Each family has a closed form or a convex
-        search:
+        on a six-disk intersection and 7.7 us on a pushed p-norm.  Each
+        family has a closed form or a convex search:
 
         - PNorm, p = 2: the roots of the quadratic |a + s b|^2 = 1.
         - PNorm, axis lines a = alpha e_i, b = beta e_j with i != j:
@@ -309,8 +303,7 @@ class PNorm(Norm):
         if self.p == math.inf:
             verts = [(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]
             return self._polygon_structure(_angle_sorted(verts))
-        empty = np.zeros((0, 2))
-        return SphereStructure("smooth", empty, empty.copy(), empty.copy())
+        return _SMOOTH
 
     def _support(self, u):
         if self.p == 1.0 or self.p == math.inf:
@@ -544,9 +537,6 @@ class DiskIntersection(Norm):
                 for p in (mid + half * perp, mid - half * perp):
                     if self.value(p) <= 1 + 1e-9:
                         pts.append(p)
-        if not pts:
-            empty = np.zeros((0, 2))
-            return SphereStructure("smooth", empty, empty.copy(), empty.copy())
         uniq = {}
         for p in pts:
             uniq[(round(p[0], 9), round(p[1], 9))] = p
@@ -569,8 +559,7 @@ class DiskIntersection(Norm):
             tout.append(cout / self.value(cout))
         corners, tin, tout = _sorted_corner_arrays(corners, tin, tout)
         if len(corners) == 0:
-            empty = np.zeros((0, 2))
-            return SphereStructure("smooth", empty, empty.copy(), empty.copy())
+            return _SMOOTH
         return SphereStructure("piecewise_arc", corners, tin, tout)
 
     def _support(self, u):
@@ -642,7 +631,7 @@ class Pushforward(Norm):
     def structure(self):
         s = self.base.structure()
         if len(s.corners) == 0:
-            return SphereStructure(s.kind, s.corners, s.corner_in, s.corner_out)
+            return s
         m = self.matrix
         corners = s.corners @ m.T
         if self.det > 0:
@@ -675,15 +664,6 @@ class Pushforward(Norm):
             "matrix": [[float(x) for x in row] for row in self.matrix],
             "base": self.base.to_spec(),
         }
-
-
-def norm_eval(norm, v):
-    """Evaluate a norm on a vector or a batch of vectors."""
-    return norm.value(v)
-
-
-def is_strictly_convex(norm):
-    return norm.is_strictly_convex
 
 
 def _require(obj, key, path):
@@ -736,7 +716,3 @@ def norm_from_spec(obj, path="spec"):
             raise SpecError(f"{path}.matrix", str(exc)) from exc
         return Pushforward(base, m, _path=path)
     raise SpecError(f"{path}.family", f"unknown norm family {family!r}")
-
-
-def spec_to_json(norm):
-    return norm.to_spec()

@@ -37,7 +37,7 @@ from normplane.isometry import (
     table_map,
     zigzag,
 )
-from normplane.norms import Pushforward, is_strictly_convex
+from normplane.norms import Pushforward
 
 EPS = (0.2, 0.1, 0.05, 0.02, 0.01)
 
@@ -125,7 +125,7 @@ def test_criterion_03_certified_delta(params, metric_views):
 
 
 def test_criterion_04_far_field_on_strictly_convex(corpus, params):
-    sc = [name for name in corpus if is_strictly_convex(corpus[name])]
+    sc = [name for name in corpus if corpus[name].is_strictly_convex]
     assert sorted(sc) == sorted(
         ["l1_5", "l2", "l3", "lens", "sixdisk",
          "l1_5_push", "l2_push", "l3_push", "lens_push", "sixdisk_push"])

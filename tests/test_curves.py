@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -11,9 +12,19 @@ from scipy.optimize import brentq
 
 from normplane import cli, norms
 from normplane.birkhoff import birkhoff_margin, is_birkhoff_orth, orth_cone, perp_point
-from normplane.diffdetect import _check_unit, _oracle_status, far_field_profile
+from normplane.diffdetect import _check_unit, _oracle_status, far_field_profile, nd_oracle
 from normplane.errors import PreconditionError, SpecError
-from normplane.isometry import fit_affine, fit_linear, linear_map, nondiff_set, staircase, zigzag
+from normplane.isometry import (
+    chord_triple,
+    equilateral_triples,
+    fit_affine,
+    fit_linear,
+    linear_map,
+    nondiff_set,
+    staircase,
+    table_map,
+    zigzag,
+)
 from normplane.norms import DiskIntersection, Hexagonal, Norm, PNorm, Pushforward
 from normplane.corpus import PUSH_MATRIX, corpus_norms, double_drop_curve, drop_curve
 from normplane import curves
@@ -104,6 +115,16 @@ def test_side_derivatives_hexagon_corner(params):
     assert not np.allclose(info.left, info.right, atol=1e-3)
 
 
+AXIS_DIRS = {"E": (1.0, 0.0), "N": (0.0, 1.0), "W": (-1.0, 0.0), "S": (0.0, -1.0)}
+
+
+def _assert_unit_values(ext):
+    # every set's value is its support value max(points @ d), 1 on these unit spheres
+    for name, d in AXIS_DIRS.items():
+        assert ext[name].value == float(np.max(ext[name].points @ np.array(d))), name
+        assert ext[name].value == pytest.approx(1.0, abs=1e-12), name
+
+
 def test_extreme_points_square():
     ext = extreme_points(unit_sphere(PNorm(math.inf)))
     assert set(ext) == {"E", "N", "W", "S"}
@@ -111,6 +132,7 @@ def test_extreme_points_square():
         assert es.is_segment
     east = np.asarray(ext["E"].points)
     assert sorted(map(tuple, east.round(12))) == [(1.0, -1.0), (1.0, 1.0)]
+    _assert_unit_values(ext)
 
 
 def test_extreme_points_circle():
@@ -119,6 +141,7 @@ def test_extreme_points_circle():
         es = ext[name]
         assert not es.is_segment
         assert np.allclose(es.points[0], want, atol=1e-7)
+    _assert_unit_values(ext)
 
 
 def test_extreme_points_hexagon():
@@ -126,6 +149,7 @@ def test_extreme_points_hexagon():
     east = ext["E"]
     assert east.is_segment
     assert sorted(map(tuple, np.asarray(east.points).round(12))) == [(1.0, 0.0), (1.0, 1.0)]
+    _assert_unit_values(ext)
 
 
 def test_line_crossings_square():
@@ -942,7 +966,8 @@ def test_one_on_curve_tolerance_in_the_ambient_norm(drop):
 NAN = math.nan
 L2 = PNorm(2.0)
 # one NaN or infinite coordinate where a point on the curve, a unit vector, a nonzero vector,
-# a basis or a map matrix is needed; drop is the drop curve
+# a basis, a map matrix, a table pair, a parameter, a step or a distance is needed; drop is
+# the drop curve
 NON_FINITE_CALLS = {
     "locate-sphere": lambda drop: build_natural_param(L2).locate((NAN, 0.0)),
     "locate-polygon": lambda drop: build_natural_param(drop).locate((NAN, 0.0)),
@@ -959,14 +984,28 @@ NON_FINITE_CALLS = {
     "orth-cone": lambda drop: orth_cone(L2, (NAN, 1.0)),
     "orth-cone-inf": lambda drop: orth_cone(L2, (math.inf, 1.0)),
     "perp-point": lambda drop: perp_point(L2, (NAN, 1.0)),
+    "chord-triple-nan": lambda drop: chord_triple(L2, (NAN, 1.0)),
+    "chord-triple-inf": lambda drop: chord_triple(L2, (math.inf, 1.0)),
+    "chord-triple-nan-y": lambda drop: chord_triple(L2, (1.0, NAN)),
+    "equilateral-target": lambda drop: equilateral_triples(L2, NAN, 1e-3),
+    "equilateral-margin": lambda drop: equilateral_triples(L2, 1.7, NAN),
+    "table-map-nan": lambda drop: table_map(L2, L2, [[0.0, 0.0], [NAN, 1.0]]),
+    "table-map-inf": lambda drop: table_map(L2, L2, [[0.0, 0.0], [1.0, math.inf]]),
+    "side-derivatives-nan": lambda drop: build_natural_param(L2).side_derivative_info(NAN),
+    "side-derivatives-inf": lambda drop: build_natural_param(L2).side_derivative_info(math.inf),
+    "nd-oracle": lambda drop: nd_oracle(L2, NAN),
+    "shift-point": lambda drop: build_natural_param(L2).shift_point((1.0, 0.0), [NAN]),
+    "far-field-profile": lambda drop: far_field_profile(L2, (0.0, 1.0), (1.0, 0.0), [NAN]),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 def test_a_non_finite_point_is_refused(drop, name):
     # a comparison with NaN is False, so each on-curve, unit or nonzero check is written to
-    # fail unless its bound holds: an off-curve test reads `not err <= tol`
-    with pytest.raises(PreconditionError):
+    # fail unless its bound holds: an off-curve test reads `not err <= tol`.  The value is
+    # refused before any numpy call warns of it
+    with warnings.catch_warnings(), pytest.raises(PreconditionError):
+        warnings.simplefilter("error")
         NON_FINITE_CALLS[name](drop)
 
 

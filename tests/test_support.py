@@ -12,6 +12,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from normplane.birkhoff import birkhoff_margin
+from normplane.curves import extreme_points, unit_sphere
 from normplane.norms import rot90
 
 
@@ -81,9 +82,10 @@ def test_structure_is_computed_once_and_read_only(corpus):
     for name, norm in corpus.items():
         s = norm.structure()
         assert norm.structure() is s, name
-        ext = norm.axis_extremes()
-        assert norm.axis_extremes() is ext, name
-        for arr in (s.corners, s.corner_in, s.corner_out, s.vertices, ext):
+        curve = unit_sphere(norm)
+        ext = extreme_points(curve)
+        assert all(extreme_points(curve)[k] is es for k, es in ext.items()), name
+        for arr in (s.corners, s.corner_in, s.corner_out, s.vertices, *(es.points for es in ext.values())):
             if arr is None:
                 continue
             assert not arr.flags.writeable, name

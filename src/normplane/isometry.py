@@ -443,10 +443,13 @@ def equilateral_triples(obj, target_distance, margin):
                     norm.value(tri[0] - tri[1]),
                     norm.value(tri[0] - tri[2]),
                     norm.value(tri[1] - tri[2])))
-                if realized >= thresh and not any(
-                        np.allclose(tri, t) for t in triples):
-                    triples.append(tri)
-                    dists.append(realized)
+                if realized >= thresh:
+                    # np.allclose's test, against every kept triple at once
+                    kept = np.reshape(triples, (-1, 3, 2))
+                    close = np.abs(tri - kept) <= 1e-8 + 1e-5 * np.abs(kept)
+                    if not close.all(axis=(1, 2)).any():
+                        triples.append(tri)
+                        dists.append(realized)
                 if len(triples) >= 8:
                     break
             if triples:

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from normplane.errors import PreconditionError
-from normplane.norms import Hexagonal, PNorm, Pushforward
-from normplane.birkhoff import _line_distance, birkhoff_margin, is_birkhoff_orth, orth_cone, perp_point
+from normplane.norms import Hexagonal, PNorm, Pushforward, cross2
+from normplane.birkhoff import (
+    OrthCone, _line_distance, birkhoff_margin, is_birkhoff_orth, orth_cone, perp_point)
+from normplane.curves import TWO_PI
 from normplane.diffdetect import nd_oracle
 
 
@@ -128,6 +130,60 @@ def test_orth_cone_rotation_invariant_on_circle():
     assert widths[0] == pytest.approx(widths[1], abs=2e-11)
 
 
+def _ref_orth_cone(norm, x, tol=1e-9):
+    # the search orth_cone's float brackets replaced: the same runs, split and
+    # rounds, with each bracket kept as an array of its split angles
+    x = np.asarray(x, dtype=float)
+    nx = float(norm.value(x))
+    phi = math.atan2(x[1], x[0])
+    lo = np.full(2, phi - 0.5 * math.pi)
+    hi = np.full(2, phi + 0.5 * math.pi)
+    steps = np.arange(17) / 16
+    for _ in range(13):
+        angles = lo[:, None] + (hi - lo)[:, None] * steps
+        inner = angles[:, 1:-1]
+        n = np.stack([np.cos(inner), np.sin(inner)], axis=-1)
+        h, z = norm.support(n.reshape(-1, 2))
+        fail = n @ x < h.reshape(inner.shape) * nx * (1.0 - tol)
+        side = cross2(x, z).reshape(inner.shape)
+        past = np.ones((2, 17), dtype=bool)
+        past[:, 0] = False
+        past[0, 1:-1] = ~(fail[0] & (side[0] < 0.0))
+        past[1, 1:-1] = fail[1] & (side[1] > 0.0)
+        k = np.argmax(past, axis=1)
+        lo, hi = angles[[0, 1], k - 1], angles[[0, 1], k]
+    first, last = hi[0], lo[1]
+    if first > last:
+        first = last = 0.5 * (first + last)
+    a = first - 0.5 * math.pi
+    intervals = []
+    for shift in (0.0, math.pi):
+        start = (a + shift) % TWO_PI
+        intervals.append((start, start + (last - first)))
+    intervals.sort()
+    return OrthCone(base_x=x / nx, directions=tuple(intervals))
+
+
+def test_orth_cone_matches_array_bracket_search(params):
+    # split angles taken as lo + w*k/16 rather than lo + (hi - lo)*k/16 round
+    # differently, and the pass test's own rounding turns that into moves of
+    # an end by up to 1.1e-11 rad on these points, inside the 1e-10 allowed
+    rng = np.random.default_rng(53)
+    for name, p in params.items():
+        ts = np.concatenate([p.corner_params(), rng.uniform(0.0, p.period, 30)])
+        for t in ts:
+            x = p.point_at(float(t))
+            cone, ref = orth_cone(p.ambient, x), _ref_orth_cone(p.ambient, x)
+            where = (name, float(t))
+            assert len(cone.directions) == len(ref.directions), where
+            assert cone.is_single_pair() is ref.is_single_pair(), where
+            for (lo, hi), (rlo, rhi) in zip(cone.directions, ref.directions):
+                assert abs(lo - rlo) <= 1e-10 and abs(hi - rhi) <= 1e-10, where
+                for th in (lo, hi):
+                    y = np.array([math.cos(th), math.sin(th)])
+                    assert is_birkhoff_orth(p.ambient, x, y, tol=2e-9), (name, float(t), th)
+
+
 def test_orth_cone_homogeneity_of_membership():
     norm = Hexagonal()
     x = np.array([0.0, 1.0])
@@ -212,3 +268,13 @@ def test_zero_vector_rejected():
             birkhoff_margin(PNorm(2), x, y)
     with pytest.raises(PreconditionError):
         orth_cone(PNorm(2), np.zeros(2))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 1.0, 1.5, math.inf, -math.inf])
+def test_tol_out_of_range_rejected(tol):
+    # at tol >= 1 every direction passes, and at tol < 0 none does
+    x, y = np.array([1.0, 0.0]), np.array([1.0, 1.0])
+    with pytest.raises(PreconditionError, match="0 <= tol < 1"):
+        is_birkhoff_orth(PNorm(2), x, y, tol=tol)
+    with pytest.raises(PreconditionError, match="0 <= tol < 1"):
+        orth_cone(PNorm(2), x, tol=tol)

@@ -983,6 +983,8 @@ NON_FINITE_CALLS = {
     "is-birkhoff-orth": lambda drop: is_birkhoff_orth(L2, (NAN, 0.0), (0.0, 1.0)),
     "orth-cone": lambda drop: orth_cone(L2, (NAN, 1.0)),
     "orth-cone-inf": lambda drop: orth_cone(L2, (math.inf, 1.0)),
+    "orth-cone-tol": lambda drop: orth_cone(L2, (1.0, 0.0), tol=NAN),
+    "is-birkhoff-orth-tol": lambda drop: is_birkhoff_orth(L2, (1.0, 0.0), (0.0, 1.0), tol=NAN),
     "perp-point": lambda drop: perp_point(L2, (NAN, 1.0)),
     "chord-triple-nan": lambda drop: chord_triple(L2, (NAN, 1.0)),
     "chord-triple-inf": lambda drop: chord_triple(L2, (math.inf, 1.0)),
